@@ -25,7 +25,14 @@ import numpy as np
 from . import nn
 from .data import DatasetSpec, generate
 from .numeric import Rng, gaussian_sample
-from .ode import StepControlConfig, VectorField, integrate_dopri5, integrate_fixed
+from .ode import (
+    FIXED_STEP_METHODS,
+    TABLEAUS,
+    StepControlConfig,
+    VectorField,
+    integrate_dopri5,
+    integrate_fixed,
+)
 
 __all__ = [
     "TrainConfig",
@@ -43,6 +50,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = ("format_version", "config", "seed", "params", "training_meta")
 
 STREAM_DATASET = 0
 STREAM_INIT = 1
@@ -118,9 +126,9 @@ class SolverSpec:
     rtol: float = 1e-5
 
     def __post_init__(self):
-        if self.method not in ("euler", "midpoint", "rk4", "dopri5"):
+        if self.method not in TABLEAUS:
             raise ValueError(f"unknown solver {self.method!r}")
-        if self.method != "dopri5":
+        if self.method in FIXED_STEP_METHODS:
             if self.n_steps is None or self.n_steps < 1:
                 raise ValueError(f"{self.method} needs n_steps >= 1")
 
@@ -135,10 +143,15 @@ class SolverSpec:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        method = d.pop("method")
-        steps = d.pop("steps", None)
-        return cls(method=method, n_steps=steps, **d)
+        """Inverse of :meth:`to_dict`.  Keys that do not apply to the method
+        (steps for dopri5, atol/rtol for fixed-step methods) are rejected."""
+        rest = dict(d)
+        method = rest.pop("method")
+        spec = cls(method=method, n_steps=rest.pop("steps", None), **rest)
+        inapplicable = sorted(set(d) - set(spec.to_dict()))
+        if inapplicable:
+            raise ValueError(f"{method} does not take {inapplicable}")
+        return spec
 
 
 @dataclass
@@ -298,19 +311,32 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Inverse of :func:`save_model`."""
+    """Inverse of :func:`save_model`.
+
+    The top-level keys must be exactly those :func:`save_model` writes; a
+    malformed file raises ValueError naming what is wrong.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path}: expected a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
-    config = TrainConfig.from_dict(doc["config"], seed=doc["seed"])
-    params = nn.params_from_arrays(config.mlp, doc["params"])
-    meta = doc["training_meta"]
-    return TrainedModel(
-        params=params,
-        config=config,
-        data_mean=np.asarray(meta["data_mean"], dtype=float),
-        data_std=np.asarray(meta["data_std"], dtype=float),
-        loss_curve=list(meta["loss_curve"]),
-    )
+    missing = sorted(set(_MODEL_KEYS) - set(doc))
+    unknown = sorted(set(doc) - set(_MODEL_KEYS))
+    if missing or unknown:
+        raise ValueError(f"model file {path}: missing keys {missing}, unknown keys {unknown}")
+    try:
+        config = TrainConfig.from_dict(doc["config"], seed=doc["seed"])
+        params = nn.params_from_arrays(config.mlp, doc["params"])
+        meta = doc["training_meta"]
+        return TrainedModel(
+            params=params,
+            config=config,
+            data_mean=np.asarray(meta["data_mean"], dtype=float),
+            data_std=np.asarray(meta["data_std"], dtype=float),
+            loss_curve=list(meta["loss_curve"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model file {path}: malformed entry {exc}") from exc

@@ -21,7 +21,7 @@ from . import analysis, cfm, svg
 from .cfm import SolverSpec, TrainConfig, TrainingError
 from .data import DatasetSpec
 from .numeric import Rng
-from .ode import IntegrationError, stability_region_grid
+from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, stability_region_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,7 +29,7 @@ EXIT_NUMERIC = 3
 
 CONFIG_FORMAT_VERSION = 1
 
-SOLVER_NAMES = ("euler", "midpoint", "rk4", "dopri5")
+SOLVER_NAMES = tuple(TABLEAUS)
 
 #: step-count grids for the NFE/quality benchmark
 DEFAULT_GRID = (
@@ -57,8 +57,17 @@ def _check_keys(d, path, required, optional=()):
         raise ConfigError(f"{path}: unknown keys {unknown}")
 
 
+def _check_ints(d, path, keys):
+    # JSON numbers like 1.5 would otherwise pass the range checks and fail
+    # deep inside training or sampling.
+    for k in keys:
+        if k in d and (not isinstance(d[k], int) or isinstance(d[k], bool)):
+            raise ConfigError(f"{path}.{k}: expected an integer, got {d[k]!r}")
+
+
 def _parse_dataset(d, path="dataset"):
     _check_keys(d, path, required=("kind",), optional=("n", "noise", "dim"))
+    _check_ints(d, path, ("n", "dim"))
     try:
         return DatasetSpec.from_dict(d)
     except (ValueError, TypeError) as exc:
@@ -67,6 +76,7 @@ def _parse_dataset(d, path="dataset"):
 
 def _parse_solver_spec(d, path):
     _check_keys(d, path, required=("method",), optional=("steps", "atol", "rtol"))
+    _check_ints(d, path, ("steps",))
     try:
         return SolverSpec.from_dict(d)
     except (ValueError, TypeError) as exc:
@@ -98,8 +108,10 @@ def load_run_config(path):
     dataset = _parse_dataset(doc["dataset"])
     train = doc.get("train", {})
     _check_keys(train, "train", required=(), optional=("epochs", "batch_size", "lr", "mlp"))
+    _check_ints(train, "train", ("epochs", "batch_size"))
     mlp = train.get("mlp", {})
     _check_keys(mlp, "train.mlp", required=(), optional=("hidden", "n_blocks", "time_embed_dim"))
+    _check_ints(mlp, "train.mlp", ("hidden", "n_blocks", "time_embed_dim"))
     grid = None
     if "solver_grid" in doc:
         if not isinstance(doc["solver_grid"], list) or not doc["solver_grid"]:
@@ -172,7 +184,7 @@ def cmd_convergence(args):
     out = _ensure_dir(args.out)
     h_list = [2.0**-e for e in range(3, 11)]
     problem = analysis.DecayProblem(lam=-1.0, y0=1.0, t1=1.0, dim=args.dim)
-    methods = ("euler", "midpoint", "rk4")
+    methods = FIXED_STEP_METHODS
     rows, slopes = analysis.convergence_study(problem, methods, h_list)
     tols = [10.0**-e for e in range(3, 11)]
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
@@ -492,7 +504,7 @@ def main(argv=None):
     except (IntegrationError, TrainingError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,7 +15,8 @@ residual adds), which keeps the whole training loop free of autodiff
 frameworks and bit-reproducible.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,64 +81,65 @@ class BlockParams:
     b2: np.ndarray
 
 
-@dataclass
-class MlpParams:
-    """All learnable tensors.  Weight matrices are (fan_in, fan_out)."""
+def _tensor_shapes(config):
+    """(name, shape) of every parameter tensor, in the canonical order."""
+    d_in = config.data_dim + config.time_embed_dim
+    h = config.hidden
+    block = {"w1": (h, h), "b1": (h,), "gamma": (h,), "beta": (h,), "w2": (h, h), "b2": (h,)}
+    shapes = [("in.w", (d_in, h)), ("in.b", (h,))]
+    for i in range(config.n_blocks):
+        shapes += [(f"block{i}.{key}", shape) for key, shape in block.items()]
+    shapes += [("out.w", (h, config.data_dim)), ("out.b", (config.data_dim,))]
+    return shapes
 
-    config: MlpConfig
-    w_in: np.ndarray
-    b_in: np.ndarray
-    blocks: list[BlockParams]
-    w_out: np.ndarray
-    b_out: np.ndarray
+
+class MlpParams:
+    """All learnable tensors.  Weight matrices are (fan_in, fan_out).
+
+    Every tensor is a named view into one contiguous float64 vector
+    ``flat``, laid out in :meth:`named` order, so whole-model operations
+    (copies, finiteness checks, optimizer updates) are single array
+    operations.  A new instance is all zeros.
+    """
+
+    def __init__(self, config):
+        shapes = _tensor_shapes(config)
+        sizes = [math.prod(shape) for _, shape in shapes]
+        self.config = config
+        self.flat = np.zeros(sum(sizes))
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        self._named = [(name, part.reshape(shape)) for (name, shape), part in zip(shapes, parts)]
+        views = dict(self._named)
+        self.w_in, self.b_in = views["in.w"], views["in.b"]
+        self.blocks = [
+            BlockParams(**{f.name: views[f"block{i}.{f.name}"] for f in fields(BlockParams)})
+            for i in range(config.n_blocks)
+        ]
+        self.w_out, self.b_out = views["out.w"], views["out.b"]
 
     def named(self):
         """(name, array) pairs in a fixed canonical order."""
-        yield "in.w", self.w_in
-        yield "in.b", self.b_in
-        for i, blk in enumerate(self.blocks):
-            yield f"block{i}.w1", blk.w1
-            yield f"block{i}.b1", blk.b1
-            yield f"block{i}.gamma", blk.gamma
-            yield f"block{i}.beta", blk.beta
-            yield f"block{i}.w2", blk.w2
-            yield f"block{i}.b2", blk.b2
-        yield "out.w", self.w_out
-        yield "out.b", self.b_out
+        return iter(self._named)
 
     def zeros_like(self):
-        return MlpParams(
-            config=self.config,
-            w_in=np.zeros_like(self.w_in),
-            b_in=np.zeros_like(self.b_in),
-            blocks=[
-                BlockParams(*(np.zeros_like(a) for a in (b.w1, b.b1, b.gamma, b.beta, b.w2, b.b2)))
-                for b in self.blocks
-            ],
-            w_out=np.zeros_like(self.w_out),
-            b_out=np.zeros_like(self.b_out),
-        )
+        return MlpParams(self.config)
 
     def copy(self):
-        out = self.zeros_like()
-        for (_, dst), (_, src) in zip(out.named(), self.named()):
-            dst[...] = src
+        out = MlpParams(self.config)
+        out.flat[...] = self.flat
         return out
 
     def check_finite(self):
-        for name, arr in self.named():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in parameter tensor {name!r}")
+        if not np.isfinite(self.flat).all():
+            name = next(name for name, arr in self._named if not np.isfinite(arr).all())
+            raise ValueError(f"non-finite values in parameter tensor {name!r}")
 
 
 def parameter_count(params_or_config):
     """Total number of scalar parameters."""
     if isinstance(params_or_config, MlpConfig):
-        c = params_or_config
-        d, h, e = c.data_dim, c.hidden, c.time_embed_dim
-        per_block = 2 * h * h + 4 * h
-        return (d + e) * h + h + c.n_blocks * per_block + h * d + d
-    return sum(arr.size for _, arr in params_or_config.named())
+        return sum(math.prod(shape) for _, shape in _tensor_shapes(params_or_config))
+    return params_or_config.flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -289,48 +291,33 @@ def init_params(config, rng):
     Draw order is fixed (input projection, then each block's w1, b1, w2, b2)
     so a given rng state always yields the same parameters.
     """
-    d_in = config.data_dim + config.time_embed_dim
-    h = config.hidden
+    params = MlpParams(config)
 
-    def linear(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(size=(fan_in, fan_out), low=-bound, high=bound)
-        b = rng.uniform(size=fan_out, low=-bound, high=bound)
-        return w, b
+    def linear(w, b):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(size=w.shape, low=-bound, high=bound)
+        b[...] = rng.uniform(size=b.shape, low=-bound, high=bound)
 
-    w_in, b_in = linear(d_in, h)
-    blocks = []
-    for _ in range(config.n_blocks):
-        w1, b1 = linear(h, h)
-        w2, b2 = linear(h, h)
-        blocks.append(
-            BlockParams(w1=w1, b1=b1, gamma=np.ones(h), beta=np.zeros(h), w2=w2, b2=b2)
-        )
-    return MlpParams(
-        config=config,
-        w_in=w_in,
-        b_in=b_in,
-        blocks=blocks,
-        w_out=np.zeros((h, config.data_dim)),
-        b_out=np.zeros(config.data_dim),
-    )
+    linear(params.w_in, params.b_in)
+    for blk in params.blocks:
+        linear(blk.w1, blk.b1)
+        linear(blk.w2, blk.b2)
+        blk.gamma[...] = 1.0
+    return params
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed by parameter name."""
+    """First/second moment accumulators, flat vectors laid out like
+    :attr:`MlpParams.flat`."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params):
-        state = cls()
-        for name, arr in params.named():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 ADAM_BETA1 = 0.9
@@ -347,14 +334,12 @@ def adam_update(params, grads, state, lr):
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for (name, p), (_, g) in zip(params.named(), grads.named()):
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    g, m, v = grads.flat, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -368,7 +353,7 @@ def params_to_arrays(params):
 
 def params_from_arrays(config, arrays):
     """Inverse of :func:`params_to_arrays`; validates names and shapes."""
-    params = init_params(config, _ZeroRng())
+    params = MlpParams(config)
     seen = set()
     for name, arr in params.named():
         if name not in arrays:
@@ -382,10 +367,3 @@ def params_from_arrays(config, arrays):
     if extra:
         raise ValueError(f"unknown parameter tensors: {sorted(extra)}")
     return params
-
-
-class _ZeroRng:
-    """Zero-filling stand-in used to build an empty parameter skeleton."""
-
-    def uniform(self, size=None, low=0.0, high=1.0):
-        return np.zeros(size)

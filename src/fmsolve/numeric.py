@@ -82,20 +82,23 @@ def eig2x2(m):
     """Both eigenvalues of a real 2x2 matrix, via the characteristic polynomial.
 
     Returns a pair of complex numbers ordered by descending real part,
-    ties broken by descending imaginary part.
+    ties broken by descending imaginary part.  A ``(..., 2, 2)`` batch gives
+    a pair of complex arrays of shape ``(...)`` instead.
     """
     m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        s = np.sqrt(disc)
-        lam1, lam2 = complex((tr + s) / 2.0), complex((tr - s) / 2.0)
-    else:
-        s = np.sqrt(-disc)
-        lam1, lam2 = complex(tr / 2.0, s / 2.0), complex(tr / 2.0, -s / 2.0)
-    if (lam1.real, lam1.imag) < (lam2.real, lam2.imag):
-        lam1, lam2 = lam2, lam1
+    real = disc >= 0.0
+    s = np.sqrt(np.abs(disc))
+    # s >= 0, so the "+" root already has the larger real part (real roots)
+    # or the positive imaginary part (complex pair): no reordering needed.
+    lam1 = np.where(real, (tr + s) / 2.0, tr / 2.0).astype(complex)
+    lam2 = np.where(real, (tr - s) / 2.0, tr / 2.0).astype(complex)
+    lam1.imag = np.where(real, 0.0, s / 2.0)
+    lam2.imag = np.where(real, 0.0, -s / 2.0)
+    if m.ndim == 2:
+        return complex(lam1), complex(lam2)
     return lam1, lam2
 
 
@@ -103,19 +106,21 @@ def cond2x2(m):
     """Spectral condition number sigma_max / sigma_min of a 2x2 matrix.
 
     Singular values come from the closed-form eigenvalues of m^T m.
-    Returns ``math.inf`` when sigma_min == 0 (rank-deficient input).
+    Returns ``math.inf`` when sigma_min == 0 (rank-deficient input).  A
+    ``(..., 2, 2)`` batch gives an array of shape ``(...)`` instead.
     """
     m = np.asarray(m, dtype=float)
     # Gram matrix is symmetric PSD; its eigenvalues are the squared singular values.
-    t = float(np.sum(m * m))
-    d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = max(t * t - 4.0 * d * d, 0.0)
-    s = np.sqrt(disc)
+    t = m[..., 0, 0] ** 2 + m[..., 0, 1] ** 2 + m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2
+    d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    s = np.sqrt(np.maximum(t * t - 4.0 * d * d, 0.0))
     smax_sq = (t + s) / 2.0
-    smin_sq = max((t - s) / 2.0, 0.0)
-    if smin_sq == 0.0:
-        return float("inf")
-    return float(np.sqrt(smax_sq / smin_sq))
+    smin_sq = np.maximum((t - s) / 2.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(smin_sq == 0.0, np.inf, np.sqrt(smax_sq / smin_sq))
+    if m.ndim == 2:
+        return float(cond)
+    return cond
 
 
 def wasserstein2_1d(a, b):

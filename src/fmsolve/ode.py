@@ -2,9 +2,12 @@
 
 Four methods are provided: forward Euler (order 1), explicit midpoint
 (order 2), classical RK4 (order 4) and the adaptive Dormand-Prince 5(4)
-embedded pair.  All state is flat float64 arrays; the right-hand side is
-wrapped in a :class:`VectorField` whose evaluation counter gives the NFE
-cost metric used throughout the benchmarks.
+embedded pair.  Each method is only its Butcher tableau in
+:data:`TABLEAUS`: one stage loop runs all of them, and their stability
+polynomials come from the same coefficients, so a new explicit
+fixed-step method is one more tableau.  All state is flat float64 arrays;
+the right-hand side is wrapped in a :class:`VectorField` whose evaluation
+counter gives the NFE cost metric used throughout the benchmarks.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +18,12 @@ __all__ = [
     "VectorField",
     "IntegrationError",
     "ButcherTableau",
+    "EULER",
+    "MIDPOINT",
+    "RK4",
     "DOPRI5",
+    "TABLEAUS",
+    "FIXED_STEP_METHODS",
     "StepRecord",
     "SolveTrace",
     "StepControlConfig",
@@ -29,7 +37,6 @@ __all__ = [
     "integrate_dopri5",
     "stability_value",
     "stability_region_grid",
-    "FIXED_STEP_METHODS",
 ]
 
 
@@ -78,45 +85,130 @@ def _check_finite(value, t, y, h=None, step_index=None):
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# Butcher tableaus
+
+@dataclass(frozen=True)
+class ButcherTableau:
+    """Nodes c, strictly lower-triangular coefficients A and weights b of an
+    explicit RK method, plus the embedded lower-order weights b_star of an
+    adaptive pair (None for fixed-step methods)."""
+
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    b_star: np.ndarray | None = None
+
+    @property
+    def n_stages(self):
+        return len(self.c)
+
+    def stability_coefficients(self):
+        """Coefficients of the stability polynomial R(z) = sum c_k z^k.
+
+        c_0 = 1 and c_k = b . A^(k-1) . 1; for an explicit s-stage scheme the
+        series terminates at z^s.  Trailing zero coefficients are dropped, so
+        dopri5's FSAL zero weight leaves degree 6 from its 7 stages.
+        """
+        s = self.n_stages
+        coeffs = [1.0]
+        v = np.ones(s)
+        for _ in range(s):
+            coeffs.append(float(self.b @ v))
+            v = self.a @ v
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        return np.array(coeffs)
+
+
+EULER = ButcherTableau(c=np.array([0.0]), a=np.zeros((1, 1)), b=np.array([1.0]))
+
+# A half Euler step probes the field at the interval midpoint; the full step
+# then uses that midpoint slope, matching the exact solution through order 2.
+MIDPOINT = ButcherTableau(
+    c=np.array([0.0, 0.5]), a=np.array([[0.0, 0.0], [0.5, 0.0]]), b=np.array([0.0, 1.0])
+)
+
+# Slopes at the endpoints and (twice) at the midpoint, with Simpson weights.
+RK4 = ButcherTableau(
+    c=np.array([0.0, 0.5, 0.5, 1.0]),
+    a=np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]),
+    b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]),
+)
+
+
+def _dopri5_tableau():
+    a = np.zeros((7, 7))
+    a[1, :1] = [1 / 5]
+    a[2, :2] = [3 / 40, 9 / 40]
+    a[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+    a[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+    a[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+    a[6, :6] = [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+    c = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1], dtype=float)
+    b = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0], dtype=float)
+    b_star = np.array(
+        [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40],
+        dtype=float,
+    )
+    return ButcherTableau(c=c, a=a, b=b, b_star=b_star)
+
+
+DOPRI5 = _dopri5_tableau()
+
+#: method name -> tableau; the one place that defines the solver names
+TABLEAUS = {"euler": EULER, "midpoint": MIDPOINT, "rk4": RK4, "dopri5": DOPRI5}
+
+#: methods without an embedded pair, run by :func:`integrate_fixed`
+FIXED_STEP_METHODS = tuple(name for name, tab in TABLEAUS.items() if tab.b_star is None)
+
+
+# ---------------------------------------------------------------------------
+# the stage loop
+
+def _weighted_sum(weights, k):
+    # sum_j w_j k_j left to right over the nonzero weights only, so a zero
+    # coefficient costs no array operation.  zip stops at the last slope
+    # computed so far, which makes a full row of A usable as the weights.
+    terms = [w * kj for w, kj in zip(weights.tolist(), k) if w != 0.0]
+    return sum(terms[1:], terms[0])
+
+
+def _rk_stages(tab, f, t, y, h, k1=None, step_index=None):
+    """Stage slopes k_i = f(t + c_i h, y + h sum_j a_ij k_j) of one step.
+
+    ``k1`` = f(t, y) is reused when the caller already has it (FSAL), which
+    saves the first evaluation; otherwise every stage costs one.  Each
+    slope is checked finite, a failure carrying t, y, h and step_index.
+    """
+    k = [_check_finite(f(t, y), t, y, h, step_index) if k1 is None else k1]
+    for i in range(1, tab.n_stages):
+        yi = y + h * _weighted_sum(tab.a[i], k)
+        k.append(_check_finite(f(t + tab.c[i] * h, yi), t, y, h, step_index))
+    return k
+
+
+def _rk_step(tab, f, t, y, h, step_index=None):
+    return y + h * _weighted_sum(tab.b, _rk_stages(tab, f, t, y, h, step_index=step_index))
+
 
 def step_euler(f, t, y, h):
     """One forward Euler step: y + h*f(t, y).  One field evaluation."""
-    k1 = _check_finite(f(t, y), t, y, h)
-    return y + h * k1
+    return _rk_step(EULER, f, t, y, h)
 
 
 def step_midpoint(f, t, y, h):
-    """One explicit midpoint step.  Two field evaluations.
-
-    A half Euler step probes the field at the interval midpoint; the full
-    step then uses that midpoint slope, which matches the Taylor expansion
-    of the exact solution through second order.
-    """
-    k1 = _check_finite(f(t, y), t, y, h)
-    k2 = _check_finite(f(t + 0.5 * h, y + (0.5 * h) * k1), t, y, h)
-    return y + h * k2
+    """One explicit midpoint step.  Two field evaluations."""
+    return _rk_step(MIDPOINT, f, t, y, h)
 
 
 def step_rk4(f, t, y, h):
-    """One classical RK4 step.  Four field evaluations.
-
-    Slopes at the endpoints and (twice) at the midpoint, combined with
-    Simpson weights h/6 * (k1 + 2 k2 + 2 k3 + k4).
-    """
-    k1 = _check_finite(f(t, y), t, y, h)
-    k2 = _check_finite(f(t + 0.5 * h, y + (0.5 * h) * k1), t, y, h)
-    k3 = _check_finite(f(t + 0.5 * h, y + (0.5 * h) * k2), t, y, h)
-    k4 = _check_finite(f(t + h, y + h * k3), t, y, h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-#: method name -> (stepper, field evaluations per step)
-FIXED_STEP_METHODS = {
-    "euler": (step_euler, 1),
-    "midpoint": (step_midpoint, 2),
-    "rk4": (step_rk4, 4),
-}
+    """One classical RK4 step.  Four field evaluations."""
+    return _rk_step(RK4, f, t, y, h)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +232,6 @@ class SolveTrace:
 
     steps: list[StepRecord] = field(default_factory=list)
     nfe_total: int = 0
-    y_final: np.ndarray | None = None
 
     @property
     def accepted_steps(self):
@@ -171,19 +262,18 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
     y0 : array_like, initial state (flattened to 1D internally is not done;
         any shape broadcastable under ``y + h*k`` works, 1D is canonical)
     n_steps : number of equal steps, >= 1
-    method : one of "euler", "midpoint", "rk4"
+    method : one of :data:`FIXED_STEP_METHODS`
 
-    Returns ``(y_final, SolveTrace)``.  NFE is n_steps times the per-step
-    evaluation count of the method (1, 2 or 4).
+    Returns ``(y_final, SolveTrace)``.  NFE is n_steps times the stage count
+    of the method (1, 2 or 4).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    try:
-        stepper, _ = FIXED_STEP_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown fixed-step method {method!r}") from None
+    if method not in FIXED_STEP_METHODS:
+        raise ValueError(f"unknown fixed-step method {method!r}")
+    tab = TABLEAUS[method]
 
     y = np.array(y0, dtype=float)
     h = (t1 - t0) / n_steps
@@ -191,75 +281,18 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
     trace = SolveTrace()
     for n in range(n_steps):
         t = t0 + n * h
-        try:
-            y = stepper(f, t, y, h)
-        except IntegrationError as exc:
-            exc.step_index = n
-            raise
+        y = _rk_step(tab, f, t, y, h, step_index=n)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(
                 f"state became non-finite at step {n} (t={t})", t=t, y=y, h=h, step_index=n
             )
         trace.steps.append(StepRecord(t=t, h=h, err=None, accepted=True, nfe_cum=f.nfe - nfe0))
     trace.nfe_total = f.nfe - nfe0
-    trace.y_final = y
     return y, trace
 
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4)
-
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Nodes c, strictly lower-triangular coefficients A, 5th-order weights b
-    and embedded 4th-order weights b_star of an explicit RK pair."""
-
-    c: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    b_star: np.ndarray
-
-    @property
-    def n_stages(self):
-        return len(self.c)
-
-    def stability_coefficients(self):
-        """Coefficients of the stability polynomial R(z) = sum c_k z^k.
-
-        c_0 = 1 and c_k = b . A^(k-1) . 1; for an explicit 7-stage scheme the
-        series terminates at z^7, and the FSAL zero weight kills that term
-        too, leaving degree 6.
-        """
-        s = self.n_stages
-        coeffs = [1.0]
-        v = np.ones(s)
-        for _ in range(s):
-            coeffs.append(float(self.b @ v))
-            v = self.a @ v
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-        return np.array(coeffs)
-
-
-def _dopri5_tableau():
-    a = np.zeros((7, 7))
-    a[1, :1] = [1 / 5]
-    a[2, :2] = [3 / 40, 9 / 40]
-    a[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-    a[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-    a[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-    a[6, :6] = [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-    c = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1], dtype=float)
-    b = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0], dtype=float)
-    b_star = np.array(
-        [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40],
-        dtype=float,
-    )
-    return ButcherTableau(c=c, a=a, b=b, b_star=b_star)
-
-
-DOPRI5 = _dopri5_tableau()
-
 
 @dataclass
 class StepControlConfig:
@@ -282,6 +315,13 @@ class StepControlConfig:
             raise ValueError("tolerances must be positive")
         if not (0 < self.alpha_min < 1 < self.alpha_max):
             raise ValueError("need 0 < alpha_min < 1 < alpha_max")
+
+
+# Smallest step relative to |t| the adaptive loop attempts.  Below it t + h
+# carries too few significant bits of h for the error estimate to mean
+# anything (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a controller
+# driving h there is chasing a singularity.
+_H_MIN_FACTOR = 16.0 * np.finfo(float).eps
 
 
 def error_norm(e, y_n, y_next, atol, rtol):
@@ -310,17 +350,24 @@ def _scaled_rms(v, scale):
     return float(np.sqrt(np.mean((v / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, t1, cfg, f0):
-    """Starting step size heuristic (f0 = f(t0, y0) precomputed by the caller).
+def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
+    """Initial step size for the adaptive run.
 
-    With d0 = ||y0|| and d1 = ||f0|| in the tolerance-scaled RMS norm, a first
-    guess h0 = 0.01 * d0 / d1 is refined by one trial Euler step: with
-    d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the guess becomes
-    h = min(100*h0, (0.01 / max(d1, d2))^(1/6)), the exponent matching the
-    order-5 propagating solution.  An (almost) flat field makes the guess
-    infinite; the result is always clipped to the interval length.  Costs one
-    extra field evaluation unless the flat-field shortcut triggers.
+    Returns cfg.h_init when set.  Otherwise, with f0 = f(t0, y0) (evaluated
+    here unless the caller passes it), d0 = ||y0|| and d1 = ||f0|| in the
+    tolerance-scaled RMS norm, a first guess h0 = 0.01 * d0 / d1 is refined
+    by one trial Euler step: with d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the
+    guess becomes h = min(100*h0, (0.01 / max(d1, d2))^(1/6)), the exponent
+    matching the order-5 propagating solution.  An (almost) flat field makes
+    the guess infinite; the result is always clipped to the interval length.
+    The trial costs one field evaluation unless the flat-field shortcut
+    triggers.
     """
+    if cfg.h_init is not None:
+        return float(cfg.h_init)
+    y0 = np.asarray(y0, dtype=float)
+    if f0 is None:
+        f0 = _check_finite(f(t0, y0), t0, y0)
     span = t1 - t0
     scale = cfg.atol + np.abs(y0) * cfg.rtol
     d0 = _scaled_rms(y0, scale)
@@ -329,26 +376,13 @@ def _initial_step(f, t0, y0, t1, cfg, f0):
         return span
     h0 = 0.01 * d0 / d1 if d0 >= 1e-5 else 1e-6
     h0 = min(h0, span)
-    f_trial = f(t0 + h0, y0 + h0 * f0)
+    f_trial = _check_finite(f(t0 + h0, y0 + h0 * f0), t0, y0, h0)
     d2 = _scaled_rms(f_trial - f0, scale) / h0
     dmax = max(d1, d2)
     if dmax <= 1e-15:
         return span
     h1 = (0.01 / dmax) ** (1.0 / 6.0)
     return min(100.0 * h0, h1, span)
-
-
-def initial_step_guess(f, t0, y0, t1, cfg):
-    """Initial step size for the adaptive run.
-
-    Returns cfg.h_init when set; otherwise runs the two-evaluation heuristic
-    documented in :func:`_initial_step`.
-    """
-    if cfg.h_init is not None:
-        return float(cfg.h_init)
-    y0 = np.asarray(y0, dtype=float)
-    f0 = _check_finite(f(t0, y0), t0, y0)
-    return _initial_step(f, t0, y0, t1, cfg, f0)
 
 
 def integrate_dopri5(f, y0, t0, t1, cfg):
@@ -367,16 +401,15 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     The final step is clipped to land on t1 exactly.  After a rejection the
     growth factor is capped at 1 until the next acceptance, which damps
     accept/reject oscillation.  Raises :class:`IntegrationError` when
-    cfg.max_steps attempts are exhausted or a stage goes non-finite.
+    cfg.max_steps attempts are exhausted, a stage goes non-finite, or the
+    step size underflows (h < 16*eps*|t|, as near a finite-time blow-up).
 
     Returns ``(y_final, SolveTrace)``; the trace records every attempt,
     rejections included.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    tab = DOPRI5
-    c, a, b, b_star = tab.c, tab.a, tab.b, tab.b_star
-    db = b - b_star
+    db = DOPRI5.b - DOPRI5.b_star
 
     y = np.array(y0, dtype=float)
     t = t0
@@ -384,32 +417,28 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     trace = SolveTrace()
 
     k1 = _check_finite(f(t, y), t, y)
-    if cfg.h_init is not None:
-        h = float(cfg.h_init)
-    else:
-        h = _initial_step(f, t0, y, t1, cfg, k1)
-    h = min(h, t1 - t0)
+    h = min(initial_step_guess(f, t0, y, t1, cfg, f0=k1), t1 - t0)
 
-    k = [None] * 7
     just_rejected = False
-    attempts = 0
     while t < t1:
-        if attempts >= cfg.max_steps:
+        attempt = len(trace.steps)
+        if attempt >= cfg.max_steps:
             raise IntegrationError(
                 f"max_steps={cfg.max_steps} exhausted at t={t}, h={h}", t=t, y=y, h=h
             )
+        if h < _H_MIN_FACTOR * abs(t):
+            raise IntegrationError(
+                f"step size underflow at t={t}: h={h} < 16*eps*|t|", t=t, y=y, h=h,
+                step_index=attempt,
+            )
         h = min(h, t1 - t)
         is_last = h == t1 - t
-        k[0] = k1
-        for i in range(1, 7):
-            yi = y + h * sum(a[i, j] * k[j] for j in range(i))
-            k[i] = _check_finite(f(t + c[i] * h, yi), t, y, h, len(trace.steps))
-        y5 = y + h * sum(b[j] * k[j] for j in range(7) if b[j] != 0.0)
-        e = h * sum(db[j] * k[j] for j in range(7) if db[j] != 0.0)
-        _check_finite(y5, t, y, h, len(trace.steps))
+        k = _rk_stages(DOPRI5, f, t, y, h, k1=k1, step_index=attempt)
+        y5 = y + h * _weighted_sum(DOPRI5.b, k)
+        e = h * _weighted_sum(db, k)
+        _check_finite(y5, t, y, h, attempt)
         err = error_norm(e, y, y5, cfg.atol, cfg.rtol)
         accepted = err <= 1.0
-        attempts += 1
         trace.steps.append(
             StepRecord(t=t, h=h, err=err, accepted=accepted, nfe_cum=f.nfe - nfe0)
         )
@@ -417,7 +446,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
         if accepted:
             y = y5
             t = t1 if is_last else t + h
-            k1 = k[6]  # FSAL
+            k1 = k[-1]  # FSAL
             if just_rejected:
                 h_next = min(h_next, h)
                 just_rejected = False
@@ -426,46 +455,31 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
             h_next = min(h_next, h)
         h = h_next
     trace.nfe_total = f.nfe - nfe0
-    trace.y_final = y
     return y, trace
 
 
 # ---------------------------------------------------------------------------
 # stability functions
 
-_STABILITY_COEFFS = {
-    "euler": np.array([1.0, 1.0]),
-    "midpoint": np.array([1.0, 1.0, 0.5]),
-    "rk4": np.array([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24]),
-}
-
-
-def _stability_coeffs(method):
-    if method == "dopri5":
-        # degree 6; the z^6 coefficient b.A^5.1 comes out of the tableau
-        coeffs = _STABILITY_COEFFS.get("dopri5")
-        if coeffs is None:
-            coeffs = DOPRI5.stability_coefficients()
-            _STABILITY_COEFFS["dopri5"] = coeffs
-        return coeffs
-    try:
-        return _STABILITY_COEFFS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
+def _stability_polynomial(method, z):
+    # Horner evaluation of R(z); z may be a complex scalar or array.
+    if method not in TABLEAUS:
+        raise ValueError(f"unknown method {method!r}")
+    acc = 0j
+    for ck in TABLEAUS[method].stability_coefficients()[::-1]:
+        acc = acc * z + ck
+    return acc
 
 
 def stability_value(method, z):
     """Amplification factor R(z) of a method applied to y' = lambda*y, z = h*lambda.
 
-    Euler: 1 + z.  Midpoint: 1 + z + z^2/2.  RK4: the exponential series
-    truncated at order 4.  For dopri5 the polynomial (degree 6) is computed
-    from the Butcher tableau via R(z) = 1 + sum_k (b . A^(k-1) . 1) z^k.
+    The polynomial comes from the method's Butcher tableau via
+    R(z) = 1 + sum_k (b . A^(k-1) . 1) z^k: 1 + z for Euler, 1 + z + z^2/2 for
+    midpoint, the exponential series truncated at order 4 for RK4, and a
+    degree-6 polynomial for dopri5.
     """
-    z = complex(z)
-    acc = 0j
-    for ck in _stability_coeffs(method)[::-1]:
-        acc = acc * z + ck
-    return acc
+    return _stability_polynomial(method, complex(z))
 
 
 @dataclass
@@ -512,8 +526,5 @@ def stability_region_grid(method, re_range, im_range, resolution):
     re = np.linspace(re_range[0], re_range[1], n_re)
     im = np.linspace(im_range[0], im_range[1], n_im)
     z = re[None, :] + 1j * im[:, None]
-    acc = np.zeros_like(z)
-    for ck in _stability_coeffs(method)[::-1]:
-        acc = acc * z + ck
-    mag = np.abs(acc)
+    mag = np.abs(_stability_polynomial(method, z))
     return StabilityRaster(method=method, re=re, im=im, magnitude=mag, inside=mag <= 1.0)

@@ -132,6 +132,19 @@ class TestSample:
         with pytest.raises(ValueError):
             cfm.SolverSpec("rk44", 10)
 
+    @pytest.mark.parametrize(
+        "bad_key, d",
+        [
+            ("steps", {"method": "dopri5", "atol": 1e-4, "rtol": 1e-4}),
+            ("atol", {"method": "euler", "steps": 20}),
+            ("rtol", {"method": "rk4", "steps": 20}),
+        ],
+    )
+    def test_spec_rejects_inapplicable_keys(self, bad_key, d):
+        assert cfm.SolverSpec.from_dict(d).to_dict() == d
+        with pytest.raises(ValueError, match="does not take"):
+            cfm.SolverSpec.from_dict({**d, bad_key: 20})
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -269,6 +269,58 @@ class TestDopriTraceCmd:
         assert (out / "dopri_steps.svg").exists()
 
 
+def _edited(doc, path, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _sample_argv(ws, model_path):
+    return ["sample", "--model", model_path, "--solver", "euler", "--steps", "5",
+            "--out", str(ws / "out")]
+
+
+def _model_argv(ws, model, edit):
+    return _sample_argv(ws, _edited(json.loads(model.read_text()), ws / "edited.json", edit))
+
+
+def _train_argv(ws, edit):
+    return ["train", "--config", _edited(TINY_CONFIG, ws / "edited.json", edit),
+            "--out", str(ws / "m.json")]
+
+
+def _benchmark_argv(ws, model, spec):
+    cfg = _edited(TINY_CONFIG, ws / "grid.json", lambda d: d.update(solver_grid=[spec]))
+    return ["benchmark", "--model", str(model), "--config", cfg, "--out", str(ws / "out")]
+
+
+MALFORMED_INPUT = {
+    "missing-model-path": lambda ws, model: _sample_argv(ws, str(ws / "absent.json")),
+    "model-without-config": lambda ws, model: _model_argv(ws, model, lambda d: d.pop("config")),
+    "model-unknown-key": lambda ws, model: _model_argv(ws, model, lambda d: d.update(extra=1)),
+    "model-missing-nested-key": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].pop("data_std")),
+    "fractional-epochs": lambda ws, model: _train_argv(
+        ws, lambda d: d["train"].update(epochs=1.5)),
+    "fractional-batch-size": lambda ws, model: _train_argv(
+        ws, lambda d: d["train"].update(batch_size=2.5)),
+    "steps-for-dopri5": lambda ws, model: _benchmark_argv(
+        ws, model, {"method": "dopri5", "steps": 10}),
+    "atol-for-euler": lambda ws, model: _benchmark_argv(
+        ws, model, {"method": "euler", "steps": 10, "atol": 1e-4}),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", MALFORMED_INPUT)
+    def test_exit_2_with_one_line_message(self, case, trained, capsys):
+        workspace, model = trained
+        capsys.readouterr()
+        assert cli.main(MALFORMED_INPUT[case](workspace, model)) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 class TestSvgOutput:
     def test_all_svgs_are_well_formed_xml(self, trained):
         import xml.etree.ElementTree as ET

@@ -48,9 +48,12 @@ class TestEig2x2:
 
     def test_trace_det_invariants(self):
         rng = Rng(123)
-        for _ in range(1000):
-            m = rng.normal(size=(2, 2)) * 3.0
+        batch = np.array([rng.normal(size=(2, 2)) * 3.0 for _ in range(1000)])
+        batch1, batch2 = eig2x2(batch)
+        assert batch1.shape == batch2.shape == (1000,)
+        for i, m in enumerate(batch):
             lam1, lam2 = eig2x2(m)
+            assert (batch1[i], batch2[i]) == (lam1, lam2)  # batch matches per-matrix
             tr = m[0, 0] + m[1, 1]
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             scale = max(abs(tr), abs(det), 1.0)
@@ -60,6 +63,12 @@ class TestEig2x2:
     def test_ordering_descending(self):
         lam1, lam2 = eig2x2([[1.0, 0.0], [0.0, 5.0]])
         assert lam1.real >= lam2.real
+
+    def test_batch_matches_special_cases(self):
+        ms = np.array([np.eye(2), [[0.0, -1.0], [1.0, 0.0]], [[2.0, 1.0], [1.0, 2.0]], np.zeros((2, 2))])
+        lam1, lam2 = eig2x2(ms.reshape(2, 2, 2, 2))
+        assert lam1.shape == (2, 2)
+        assert list(zip(lam1.ravel(), lam2.ravel())) == [eig2x2(m) for m in ms]
 
 
 class TestCond2x2:
@@ -72,12 +81,17 @@ class TestCond2x2:
     def test_singular_is_inf(self):
         assert cond2x2([[1.0, 0.0], [0.0, 0.0]]) == float("inf")
         assert cond2x2(np.zeros((2, 2))) == float("inf")
+        batch = np.array([[[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)), np.eye(2)])
+        assert cond2x2(batch).tolist() == [float("inf"), float("inf"), 1.0]
 
     def test_at_least_one_and_scale_invariant(self):
         rng = Rng(5)
-        for _ in range(300):
-            m = rng.normal(size=(2, 2))
+        batch = np.array([rng.normal(size=(2, 2)) for _ in range(300)])
+        batch_cond = cond2x2(batch)
+        assert batch_cond.shape == (300,)
+        for m, cb in zip(batch, batch_cond):
             c = cond2x2(m)
+            assert cb == c  # batch matches per-matrix
             assert c >= 1.0
             if np.isfinite(c):
                 for s in (2.0, -0.5, 1e3):

@@ -4,6 +4,7 @@ import pytest
 from fmsolve.numeric import Rng
 from fmsolve.ode import (
     DOPRI5,
+    TABLEAUS,
     IntegrationError,
     StepControlConfig,
     VectorField,
@@ -162,12 +163,29 @@ class TestIntegrateFixed:
 
 
 class TestTableau:
-    def test_row_consistency(self):
-        assert np.max(np.abs(DOPRI5.a.sum(axis=1) - DOPRI5.c)) <= 1e-15
+    @pytest.mark.parametrize("tab", TABLEAUS.values(), ids=TABLEAUS.keys())
+    def test_row_consistency(self, tab):
+        assert np.max(np.abs(tab.a.sum(axis=1) - tab.c)) <= 1e-15
+        assert np.array_equal(tab.a, np.tril(tab.a, -1))  # explicit method
 
-    def test_weight_sums(self):
-        assert abs(DOPRI5.b.sum() - 1.0) <= 1e-15
-        assert abs(DOPRI5.b_star.sum() - 1.0) <= 1e-15
+    @pytest.mark.parametrize("tab", TABLEAUS.values(), ids=TABLEAUS.keys())
+    def test_weight_sums(self, tab):
+        assert abs(tab.b.sum() - 1.0) <= 1e-15
+        if tab.b_star is not None:
+            assert abs(tab.b_star.sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "method, closed_form",
+        [
+            ("euler", [1.0, 1.0]),  # 1 + z
+            ("midpoint", [1.0, 1.0, 1 / 2]),  # 1 + z + z^2/2
+            ("rk4", [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24]),  # exp(z) through z^4
+        ],
+    )
+    def test_stability_coefficients_closed_forms(self, method, closed_form):
+        coeffs = TABLEAUS[method].stability_coefficients()
+        assert len(coeffs) == len(closed_form)
+        assert coeffs == pytest.approx(closed_form, abs=1e-15)
 
     def test_fsal_row(self):
         expected = np.concatenate([DOPRI5.b[:6], [0.0]])
@@ -245,6 +263,13 @@ class TestInitialStepGuess:
         h = initial_step_guess(f, 0.0, ONE, 1.0, self.CFG)
         assert 0.0 < h <= 0.1
 
+    def test_non_finite_trial_raises(self):
+        # an infinite trial slope would otherwise yield h = 0 and a run that
+        # never advances
+        f = VectorField(lambda t, y: y * (np.inf if t > 0.0 else -1.0))
+        with pytest.raises(IntegrationError):
+            initial_step_guess(f, 0.0, ONE, 1.0, self.CFG)
+
 
 class TestDopri5:
     CFG = StepControlConfig(atol=1e-5, rtol=1e-5)
@@ -311,6 +336,15 @@ class TestDopri5:
         with pytest.raises(IntegrationError) as exc_info:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t is not None and exc_info.value.h is not None
+
+    def test_step_size_underflow_stops_promptly(self):
+        # y' = y^2, y(0) = 1.01 blows up at t = 1/1.01: h collapses towards the
+        # pole and must be reported as an underflow long before t + h == t
+        f = VectorField(lambda t, y: y * y)
+        with pytest.raises(IntegrationError, match="underflow") as exc_info:
+            integrate_dopri5(f, np.array([1.01]), 0.0, 1.0, self.CFG)
+        assert f.nfe <= 2000
+        assert exc_info.value.t == pytest.approx(1 / 1.01, abs=1e-3)
 
     def test_non_finite_stage_raises(self):
         f = VectorField(lambda t, y: y * (np.inf if t > 0.1 else -1.0))
