@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage or config error, 3 numeric failure.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 from . import analysis, cfm, svg
 from .cfm import SolverSpec, TrainConfig, TrainingError
 from .data import DatasetSpec
-from .numeric import Rng
+from .numeric import Rng, write_csv
 from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, stability_region_grid
 
 EXIT_OK = 0
@@ -89,7 +88,7 @@ def load_run_config(path):
     Schema (strict at every level):
       {format_version: 1, seed, dataset: {kind, n?, noise?, dim?},
        train?: {epochs?, batch_size?, lr?, mlp?: {hidden?, n_blocks?, time_embed_dim?}},
-       solver_grid?: [{method, steps? | atol?, rtol?}, ...], output_dir?}
+       solver_grid?: [{method, steps? | atol?, rtol?}, ...]}
     """
     try:
         with open(path) as fh:
@@ -101,8 +100,9 @@ def load_run_config(path):
     _check_keys(
         doc, "config",
         required=("format_version", "seed", "dataset"),
-        optional=("train", "solver_grid", "output_dir"),
+        optional=("train", "solver_grid"),
     )
+    _check_ints(doc, "config", ("seed",))
     if doc["format_version"] != CONFIG_FORMAT_VERSION:
         raise ConfigError(f"unsupported config format_version {doc['format_version']!r}")
     dataset = _parse_dataset(doc["dataset"])
@@ -117,17 +117,12 @@ def load_run_config(path):
         if not isinstance(doc["solver_grid"], list) or not doc["solver_grid"]:
             raise ConfigError("solver_grid: expected a non-empty list")
         grid = [_parse_solver_spec(s, f"solver_grid[{i}]") for i, s in enumerate(doc["solver_grid"])]
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed: expected an integer, got {doc['seed']!r}") from None
     return {
-        "seed": seed,
+        "seed": doc["seed"],
         "dataset": dataset,
         "train_overrides": {k: train[k] for k in ("epochs", "batch_size", "lr") if k in train},
         "mlp_overrides": dict(mlp),
         "solver_grid": grid,
-        "output_dir": doc.get("output_dir"),
     }
 
 
@@ -159,20 +154,6 @@ def _ensure_dir(path):
     return path
 
 
-def _cell(v):
-    if isinstance(v, float):
-        return repr(float(v))  # plain-float repr round-trips exactly
-    return v
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
-
-
 def _default_grid():
     return [SolverSpec(m, n) for m, n in DEFAULT_GRID] + [SolverSpec("dopri5")]
 
@@ -188,7 +169,7 @@ def cmd_convergence(args):
     rows, slopes = analysis.convergence_study(problem, methods, h_list)
     tols = [10.0**-e for e in range(3, 11)]
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
-    _write_csv(
+    write_csv(
         os.path.join(out, "convergence.csv"),
         ["method", "h", "error"],
         [(r.method, r.h, r.global_error) for r in rows + dopri_rows],
@@ -232,11 +213,8 @@ def cmd_stability(args):
         print(f"{method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
     demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
     traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1, n_report=200)
-    demo_rows = []
-    for tr in traces:
-        for n, y in enumerate(tr.y):
-            demo_rows.append((tr.h, n, float(y)))
-    _write_csv(os.path.join(out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
+    demo_rows = [(tr.h, n, y) for tr in traces for n, y in enumerate(tr.y.tolist())]
+    write_csv(os.path.join(out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
     svg.line_chart(
         os.path.join(out, "stability_demo.svg"),
         [{"label": f"h={tr.h:.4g}" + (" (diverged)" if tr.diverged else ""),
@@ -258,7 +236,7 @@ def cmd_train(args):
     _ensure_dir(out_dir)
     cfm.save_model(model, args.out)
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
-    _write_csv(loss_csv, ["epoch", "loss"], list(enumerate(model.loss_curve)))
+    write_csv(loss_csv, ["epoch", "loss"], enumerate(model.loss_curve))
     print(f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}")
     print(f"model -> {args.out}")
     print(f"loss curve -> {loss_csv}")
@@ -266,11 +244,12 @@ def cmd_train(args):
 
 
 def _solver_from_args(args):
-    if args.solver == "dopri5":
-        return SolverSpec("dopri5", atol=args.atol, rtol=args.rtol)
-    if args.steps is None:
-        raise ConfigError(f"--steps is required for solver {args.solver!r}")
-    return SolverSpec(args.solver, args.steps)
+    # only the flags given on the command line, so one that does not apply
+    # to the method is rejected instead of ignored
+    given = {"steps": args.steps, "atol": args.atol, "rtol": args.rtol}
+    return SolverSpec.from_dict(
+        {"method": args.solver, **{k: v for k, v in given.items() if v is not None}}
+    )
 
 
 def cmd_sample(args):
@@ -280,7 +259,7 @@ def cmd_sample(args):
     out = _ensure_dir(args.out)
     points, trace = cfm.sample(model, spec, args.n, Rng(seed))
     header = [f"x{i}" for i in range(points.shape[1])]
-    _write_csv(os.path.join(out, "samples.csv"), header, [tuple(map(float, p)) for p in points])
+    write_csv(os.path.join(out, "samples.csv"), header, points.tolist())
     trace.write_csv(os.path.join(out, "trace.csv"))
     if points.shape[1] == 2:
         svg.scatter_chart(
@@ -304,7 +283,7 @@ def _benchmark_one(model, grid, args, rng):
 
 
 def _write_pareto(path_csv, path_svg, rows):
-    _write_csv(path_csv, ["method", "steps", "nfe", "swd"],
+    write_csv(path_csv, ["method", "steps", "nfe", "swd"],
                [(r.method, r.steps, r.nfe, r.swd) for r in rows])
     series = []
     for m in SOLVER_NAMES:
@@ -335,7 +314,7 @@ def cmd_benchmark(args):
                 os.path.join(out, f"pareto_hidden{w}.svg"), rows,
             )
             ablation += [(w, r.method, r.steps, r.nfe, r.swd) for r in rows]
-        _write_csv(os.path.join(out, "ablation.csv"),
+        write_csv(os.path.join(out, "ablation.csv"),
                    ["hidden", "method", "steps", "nfe", "swd"], ablation)
         print(f"ablation over widths {widths} -> {os.path.join(out, 'ablation.csv')}")
         return EXIT_OK
@@ -360,7 +339,7 @@ def cmd_jacobian(args):
     rows = analysis.spectrum_along_trajectory(
         model, args.n_samples, grid, SolverSpec("rk4", args.steps), Rng(seed)
     )
-    _write_csv(
+    write_csv(
         os.path.join(out, "spectrum.csv"),
         ["t", "eig1_re_mean", "eig1_re_std", "eig2_re_mean", "eig2_re_std", "cond_median"],
         [(r.t, r.eig1_re_mean, r.eig1_re_std, r.eig2_re_mean, r.eig2_re_std, r.cond_median)
@@ -453,9 +432,9 @@ def build_parser():
     p = sub.add_parser("sample", help="sample from a trained model with a chosen solver")
     p.add_argument("--model", required=True)
     p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
-    p.add_argument("--steps", type=int, default=None, help="step count for fixed-step solvers")
-    p.add_argument("--atol", type=float, default=1e-5)
-    p.add_argument("--rtol", type=float, default=1e-5)
+    p.add_argument("--steps", type=int, default=None, help="step count (fixed-step solvers only)")
+    p.add_argument("--atol", type=float, default=None, help="dopri5 only (default 1e-5)")
+    p.add_argument("--rtol", type=float, default=None, help="dopri5 only (default 1e-5)")
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")

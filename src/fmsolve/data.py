@@ -7,10 +7,11 @@ sampled uniformly (not grid-spaced) so points are i.i.d., which the sliced
 Wasserstein metric assumes.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numeric import write_csv
 
 __all__ = ["DatasetSpec", "generate", "component_sizes", "export_csv", "DATASET_KINDS"]
 
@@ -98,17 +99,11 @@ def export_csv(spec, points, path):
     """
     points = np.asarray(points, dtype=float)
     sizes = component_sizes(spec)
-    labels = None
+    header = [f"x{i}" for i in range(points.shape[1])]
+    rows = points.tolist()
     if len(sizes) == 2:
-        labels = [0] * sizes[0] + [1] * sizes[1]
         if points.shape[0] != spec.n:
             raise ValueError(f"expected {spec.n} rows for {spec.kind}, got {points.shape[0]}")
-    header = [f"x{i}" for i in range(points.shape[1])] + (["label"] if labels else [])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, p in enumerate(points):
-            row = [repr(float(v)) for v in p]
-            if labels:
-                row.append(labels[i])
-            w.writerow(row)
+        header.append("label")
+        rows = [row + [label] for row, label in zip(rows, [0] * sizes[0] + [1] * sizes[1])]
+    write_csv(path, header, rows)

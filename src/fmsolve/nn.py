@@ -16,7 +16,7 @@ frameworks and bit-reproducible.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,12 +59,7 @@ class MlpConfig:
             raise ValueError("time_embed_dim must be an even count >= 2")
 
     def to_dict(self):
-        return {
-            "data_dim": self.data_dim,
-            "hidden": self.hidden,
-            "n_blocks": self.n_blocks,
-            "time_embed_dim": self.time_embed_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -146,12 +141,9 @@ def parameter_count(params_or_config):
 # primitives
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp(-|x|) never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _time_frequencies(dim):
@@ -164,34 +156,26 @@ def _time_frequencies(dim):
 
 
 def time_embed(t, dim):
-    """Sinusoidal features of a scalar time: pairs [sin(w_j t), cos(w_j t)].
+    """Sinusoidal features of a time: pairs [sin(w_j t), cos(w_j t)].
 
     Frequencies w_j are geometrically spaced from 1 to 1000 over the dim/2
-    pairs, covering the unit time interval at multiple scales.
+    pairs, covering the unit time interval at multiple scales.  A scalar
+    ``t`` gives shape (dim,), an array of times t.shape + (dim,).
     """
     if dim < 2 or dim % 2 != 0:
         raise ValueError("dim must be an even count >= 2")
-    w = _time_frequencies(dim)
-    phase = w * float(t)
-    out = np.empty(dim)
-    out[0::2] = np.sin(phase)
-    out[1::2] = np.cos(phase)
-    return out
-
-
-def _time_embed_batch(t, n, dim):
-    phase = np.broadcast_to(np.asarray(t, dtype=float), (n,))[:, None] * _time_frequencies(dim)[None, :]
-    out = np.empty((n, dim))
-    out[:, 0::2] = np.sin(phase)
-    out[:, 1::2] = np.cos(phase)
+    phase = np.multiply.outer(np.asarray(t, dtype=float), _time_frequencies(dim))
+    out = np.empty(phase.shape[:-1] + (dim,))
+    out[..., 0::2] = np.sin(phase)
+    out[..., 1::2] = np.cos(phase)
     return out
 
 
 def _layernorm_forward(a, gamma, beta):
-    mu = a.mean(axis=1, keepdims=True)
-    var = ((a - mu) ** 2).mean(axis=1, keepdims=True)
+    centered = a - a.mean(axis=1, keepdims=True)
+    var = (centered**2).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (a - mu) * inv_std
+    xhat = centered * inv_std
     return gamma * xhat + beta, xhat, inv_std
 
 
@@ -212,8 +196,8 @@ def _layernorm_backward(dout, xhat, inv_std, gamma):
 
 def _forward_cached(params, x, t):
     cfg = params.config
-    n = x.shape[0]
-    emb = _time_embed_batch(t, n, cfg.time_embed_dim)
+    # a scalar t (every sampling call) embeds once and is shared by the rows
+    emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (x.shape[0], cfg.time_embed_dim))
     z = np.concatenate([x, emb], axis=1)
     h = z @ params.w_in + params.b_in
     caches = []

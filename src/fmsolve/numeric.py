@@ -10,6 +10,8 @@ transform is fixed here so every module shares one documented mapping
 from uniforms to normals.
 """
 
+import csv
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "eig2x2",
     "cond2x2",
     "wasserstein2_1d",
+    "write_csv",
 ]
 
 
@@ -137,3 +140,15 @@ def wasserstein2_1d(a, b):
         raise ValueError("need at least one sample")
     diff = np.sort(a) - np.sort(b)
     return float(np.sqrt(np.mean(diff * diff)))
+
+
+def write_csv(path, header, rows):
+    """Write a header row and data rows as CSV; the one writer of every CSV.
+
+    Floats are written as the repr of a plain float, which round-trips
+    exactly; None is an empty cell; other values go through str.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        for row in [header, *rows]:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numeric import write_csv
+
 __all__ = [
     "VectorField",
     "IntegrationError",
@@ -243,14 +245,10 @@ class SolveTrace:
 
     def write_csv(self, path):
         """Write the trace as CSV with columns t,h,err,accepted,nfe_cum."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "h", "err", "accepted", "nfe_cum"])
-            for s in self.steps:
-                err = "" if s.err is None else repr(float(s.err))
-                w.writerow([repr(float(s.t)), repr(float(s.h)), err, int(s.accepted), s.nfe_cum])
+        # float(): a run started at an integer t0 still writes 0.0
+        rows = [(float(s.t), float(s.h), None if s.err is None else float(s.err),
+                 int(s.accepted), s.nfe_cum) for s in self.steps]
+        write_csv(path, ["t", "h", "err", "accepted", "nfe_cum"], rows)
 
 
 def integrate_fixed(f, y0, t0, t1, n_steps, method):
@@ -296,25 +294,26 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
 
 @dataclass
 class StepControlConfig:
-    """Tolerances and controller clamps for the adaptive integrator.
-
-    The next step size is h * min(alpha_max, max(alpha_min, safety * err^(-1/6))),
-    with err the normalized error of the attempted step.
-    """
+    """Tolerances, optional starting step and attempt budget of the adaptive
+    integrator."""
 
     atol: float = 1e-5
     rtol: float = 1e-5
-    safety: float = 0.9
-    alpha_min: float = 0.2
-    alpha_max: float = 5.0
     h_init: float | None = None
     max_steps: int = 100_000
 
     def __post_init__(self):
         if not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
-        if not (0 < self.alpha_min < 1 < self.alpha_max):
-            raise ValueError("need 0 < alpha_min < 1 < alpha_max")
+
+
+# Step-size controller: the next step is
+# h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err^(-1/6))), with err the scaled
+# error norm of the attempt; the standard values of Hairer, Norsett & Wanner,
+# Solving ODEs I, II.4.
+SAFETY = 0.9
+ALPHA_MIN = 0.2
+ALPHA_MAX = 5.0
 
 
 # Smallest step relative to |t| the adaptive loop attempts.  Below it t + h
@@ -324,30 +323,26 @@ class StepControlConfig:
 _H_MIN_FACTOR = 16.0 * np.finfo(float).eps
 
 
+def _scaled_rms(v, scale):
+    return float(np.sqrt(np.mean((v / scale) ** 2)))
+
+
 def error_norm(e, y_n, y_next, atol, rtol):
     """Scaled RMS norm of a local error estimate.
 
     sqrt( (1/d) * sum_j ( e_j / (atol + max(|y_n_j|, |y_next_j|) * rtol) )^2 )
     """
-    e = np.asarray(e, dtype=float)
-    scale = atol + np.maximum(np.abs(y_n), np.abs(y_next)) * rtol
-    return float(np.sqrt(np.mean((e / scale) ** 2)))
+    return _scaled_rms(e, atol + np.maximum(np.abs(y_n), np.abs(y_next)) * rtol)
 
 
-def propose_step(h, err, cfg):
+def propose_step(h, err):
     """Controller update for the step size given the last error norm.
 
-    err = 0 hits the alpha_max clamp (no division by zero).
+    err = 0 hits the ALPHA_MAX clamp (no division by zero).
     """
     if err == 0.0:
-        factor = cfg.alpha_max
-    else:
-        factor = min(cfg.alpha_max, max(cfg.alpha_min, cfg.safety * err ** (-1.0 / 6.0)))
-    return h * factor
-
-
-def _scaled_rms(v, scale):
-    return float(np.sqrt(np.mean((v / scale) ** 2)))
+        return h * ALPHA_MAX
+    return h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err ** (-1.0 / 6.0)))
 
 
 def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
@@ -442,7 +437,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
         trace.steps.append(
             StepRecord(t=t, h=h, err=err, accepted=accepted, nfe_cum=f.nfe - nfe0)
         )
-        h_next = propose_step(h, err, cfg)
+        h_next = propose_step(h, err)
         if accepted:
             y = y5
             t = t1 if is_last else t + h
@@ -502,13 +497,8 @@ class StabilityRaster:
 
     def write_csv(self, path):
         """CSV grid of |R|: header row carries the re axis, first column the im axis."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["im\\re"] + [repr(float(v)) for v in self.re])
-            for i, imv in enumerate(self.im):
-                w.writerow([repr(float(imv))] + [repr(float(v)) for v in self.magnitude[i]])
+        rows = ([imv] + mags for imv, mags in zip(self.im.tolist(), self.magnitude.tolist()))
+        write_csv(path, ["im\\re"] + self.re.tolist(), rows)
 
 
 def stability_region_grid(method, re_range, im_range, resolution):

@@ -237,6 +237,15 @@ class TestParetoBenchmark:
         assert by_method["dopri5"].nfe >= 8  # true trace cost, not a step count
         assert all(r.swd >= 0 for r in rows)
 
+    def test_repeated_spec_gives_identical_rows(self):
+        # common random numbers: every spec integrates the same starts and is
+        # scored on the same projections, whatever runs before it
+        model = tiny_model(epochs=2)
+        euler = cfm.SolverSpec("euler", 10)
+        grid = [euler, cfm.SolverSpec("rk4", 10), euler]
+        rows, _ = pareto_benchmark(model, model.config.dataset, grid, 64, 32, Rng(5))
+        assert rows[0] == rows[2]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_spec_does_not_abort_grid(self):
         model = tiny_model(epochs=2)

@@ -309,6 +309,13 @@ MALFORMED_INPUT = {
         ws, model, {"method": "dopri5", "steps": 10}),
     "atol-for-euler": lambda ws, model: _benchmark_argv(
         ws, model, {"method": "euler", "steps": 10, "atol": 1e-4}),
+    "steps-flag-for-dopri5": lambda ws, model: ["sample", "--model", str(model),
+        "--solver", "dopri5", "--steps", "10", "--out", str(ws / "out")],
+    "atol-flag-for-rk4": lambda ws, model: ["sample", "--model", str(model),
+        "--solver", "rk4", "--steps", "2", "--atol", "0.5", "--out", str(ws / "out")],
+    "config-output-dir": lambda ws, model: _train_argv(
+        ws, lambda d: d.update(output_dir="/nonexistent/where")),
+    "fractional-seed": lambda ws, model: _train_argv(ws, lambda d: d.update(seed=1.7)),
 }
 
 

@@ -78,6 +78,14 @@ class TestGenerate:
 
 
 class TestExportCsv:
+    def test_exact_bytes(self, tmp_path):
+        # integer-valued and tiny coordinates still come out as full float reprs
+        path = tmp_path / "moons.csv"
+        export_csv(DatasetSpec("moons", n=3), [[0.5, -1], [2, 3e-20], [1 / 3, 0.1]], path)
+        assert path.read_bytes() == (
+            b"x0,x1,label\r\n0.5,-1.0,0\r\n2.0,3e-20,0\r\n0.3333333333333333,0.1,1\r\n"
+        )
+
     def test_labeled_two_component_export(self, tmp_path):
         spec = DatasetSpec("moons", n=9, noise=0.0)
         pts = generate(spec, Rng(0))

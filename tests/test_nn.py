@@ -68,6 +68,11 @@ class TestTimeEmbed:
         w = nn._time_frequencies(64)
         assert w[0] == 1.0 and w[-1] == pytest.approx(1000.0)
 
+    def test_vector_of_times_matches_scalar_calls(self):
+        ts = np.array([0.0, 0.25, 0.731, 1.0, 1.02])
+        expected = np.stack([nn.time_embed(t, 64) for t in ts])
+        assert np.array_equal(nn.time_embed(ts, 64), expected)
+
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             nn.time_embed(0.0, 5)
@@ -208,8 +213,9 @@ class TestLayerPrimitives:
         assert analytic == pytest.approx(fd, abs=1e-9)
 
     def test_sigmoid_stable_at_extremes(self):
-        v = nn._sigmoid(np.array([-1e4, 1e4]))
-        assert v == pytest.approx([0.0, 1.0], abs=1e-12)
+        with np.errstate(over="raise"):
+            v = nn._sigmoid(np.array([-np.inf, -1e4, -750.0, 750.0, 1e4, np.inf]))
+        assert v == pytest.approx([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], abs=1e-12)
 
 
 class TestAdam:

@@ -1,9 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fmsolve.numeric import Rng
 from fmsolve.ode import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     DOPRI5,
+    SAFETY,
     TABLEAUS,
     IntegrationError,
     StepControlConfig,
@@ -225,26 +230,30 @@ class TestErrorNorm:
 
 
 class TestProposeStep:
-    CFG = StepControlConfig(atol=1e-5, rtol=1e-5)
+    def test_controller_constants(self):
+        assert (SAFETY, ALPHA_MIN, ALPHA_MAX) == (0.9, 0.2, 5.0)
 
     def test_unit_error_applies_safety(self):
-        assert propose_step(0.2, 1.0, self.CFG) == pytest.approx(0.18)
+        assert propose_step(0.2, 1.0) == pytest.approx(0.2 * SAFETY)
 
     def test_zero_error_hits_growth_clamp(self):
-        assert propose_step(0.2, 0.0, self.CFG) == pytest.approx(0.2 * 5.0)
+        assert propose_step(0.2, 0.0) == pytest.approx(0.2 * ALPHA_MAX)
 
     def test_large_error_factor(self):
         # 64^(1/6) = 2, so the factor is 0.45
-        assert propose_step(1.0, 64.0, self.CFG) == pytest.approx(0.45)
+        assert propose_step(1.0, 64.0) == pytest.approx(0.45)
 
     def test_shrink_clamped_at_alpha_min(self):
-        assert propose_step(1.0, 1e12, self.CFG) == pytest.approx(self.CFG.alpha_min)
+        assert propose_step(1.0, 1e12) == pytest.approx(ALPHA_MIN)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StepControlConfig(atol=0.0)
         with pytest.raises(ValueError):
-            StepControlConfig(alpha_min=1.5)
+            StepControlConfig(rtol=-1e-5)
+
+    def test_config_fields(self):
+        assert [f.name for f in fields(StepControlConfig)] == ["atol", "rtol", "h_init", "max_steps"]
 
 
 class TestInitialStepGuess:
@@ -370,6 +379,26 @@ class TestDopri5:
         assert yb - c == pytest.approx(ya, rel=1e-12, abs=1e-12)
 
 
+class TestTraceCsv:
+    HEADER = b"t,h,err,accepted,nfe_cum\r\n"
+
+    def test_adaptive_trace_bytes(self, tmp_path):
+        # an integer t0 still writes its first start time as a float
+        cfg = StepControlConfig(atol=1e-3, rtol=1e-3, h_init=0.5)
+        _, trace = integrate_dopri5(decay_field(), ONE, 0, 1, cfg)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == self.HEADER + (
+            b"0.0,0.5,0.015332031250000697,1,7\r\n0.5,0.5,0.01157699955725824,1,13\r\n"
+        )
+
+    def test_fixed_step_trace_has_empty_err(self, tmp_path):
+        _, trace = integrate_fixed(decay_field(), ONE, 0, 1, 2, "midpoint")
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == self.HEADER + (
+            b"0.0,0.5,,1,2\r\n0.5,0.5,,1,4\r\n"
+        )
+
+
 class TestStability:
     def test_euler_boundary_value(self):
         assert stability_value("euler", -2.0) == -1.0
@@ -406,6 +435,16 @@ class TestStability:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             stability_region_grid("euler", (-1, 1), (-1, 1), 1)
+
+    def test_raster_csv_exact_bytes(self, tmp_path):
+        r = stability_region_grid("euler", (-2, 0), (-1, 1), (3, 2))
+        path = tmp_path / "grid.csv"
+        r.write_csv(path)
+        assert path.read_bytes() == (
+            b"im\\re,-2.0,-1.0,0.0\r\n"
+            b"-1.0,1.4142135623730951,1.0,1.4142135623730951\r\n"
+            b"1.0,1.4142135623730951,1.0,1.4142135623730951\r\n"
+        )
 
     def test_raster_csv_round_trip(self, tmp_path):
         r = stability_region_grid("euler", (-3, 1), (-2, 2), 9)
