@@ -253,8 +253,8 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     if model.data_dim != 2:
         raise ValueError("Jacobian spectrum analysis supports 2D models only")
     time_grid = [float(t) for t in time_grid]
-    if sorted(time_grid) != time_grid:
-        raise ValueError("time_grid must be ascending")
+    if not time_grid or sorted(time_grid) != time_grid:
+        raise ValueError("time_grid must be a non-empty ascending list")
     if solver.method not in FIXED_STEP_METHODS:
         raise ValueError("spectrum marching uses a fixed-step solver")
     x = gaussian_sample(rng, n_samples, 2)

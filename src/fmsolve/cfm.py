@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn
 from .data import DatasetSpec, generate
-from .numeric import Rng, gaussian_sample
+from .numeric import Rng, check_field_types, check_keys, check_version, gaussian_sample
 from .ode import (
     FIXED_STEP_METHODS,
     TABLEAUS,
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
-_MODEL_KEYS = ("format_version", "config", "seed", "params", "training_meta")
 
 STREAM_DATASET = 0
 STREAM_INIT = 1
@@ -76,6 +75,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0:
@@ -105,14 +105,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d, seed):
-        return cls(
-            dataset=DatasetSpec.from_dict(d["dataset"]),
-            mlp=nn.MlpConfig.from_dict(d["mlp"]),
-            epochs=d["epochs"],
-            batch_size=d["batch_size"],
-            lr=d["lr"],
-            seed=seed,
-        )
+        """Inverse of :meth:`to_dict`; every key it writes is required."""
+        check_keys(d, "config", required=("dataset", "mlp", "epochs", "batch_size", "lr"))
+        nested = {"dataset": DatasetSpec.from_dict(d["dataset"]),
+                  "mlp": nn.MlpConfig.from_dict(d["mlp"])}
+        return cls(**{**d, **nested}, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,7 @@ class SolverSpec:
     rtol: float = 1e-5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in TABLEAUS:
             raise ValueError(f"unknown solver {self.method!r}")
         if self.method in FIXED_STEP_METHODS:
@@ -146,11 +144,10 @@ class SolverSpec:
         """Inverse of :meth:`to_dict`.  Keys that do not apply to the method
         (steps for dopri5, atol/rtol for fixed-step methods) are rejected."""
         rest = dict(d)
-        method = rest.pop("method")
-        spec = cls(method=method, n_steps=rest.pop("steps", None), **rest)
+        spec = cls(n_steps=rest.pop("steps", None), **rest)
         inapplicable = sorted(set(d) - set(spec.to_dict()))
         if inapplicable:
-            raise ValueError(f"{method} does not take {inapplicable}")
+            raise ValueError(f"{spec.method} does not take {inapplicable}")
         return spec
 
 
@@ -318,15 +315,9 @@ def load_model(path):
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"model file {path}: expected a JSON object")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}")
-    missing = sorted(set(_MODEL_KEYS) - set(doc))
-    unknown = sorted(set(doc) - set(_MODEL_KEYS))
-    if missing or unknown:
-        raise ValueError(f"model file {path}: missing keys {missing}, unknown keys {unknown}")
+    where = f"model file {path}"
+    check_keys(doc, where, required=("format_version", "config", "seed", "params", "training_meta"))
+    check_version(doc["format_version"], MODEL_FORMAT_VERSION, where)
     try:
         config = TrainConfig.from_dict(doc["config"], seed=doc["seed"])
         params = nn.params_from_arrays(config.mlp, doc["params"])
@@ -338,5 +329,5 @@ def load_model(path):
             data_std=np.asarray(meta["data_std"], dtype=float),
             loss_curve=list(meta["loss_curve"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model file {path}: malformed entry {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: malformed entry {exc}") from exc

@@ -13,13 +13,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import analysis, cfm, svg
 from .cfm import SolverSpec, TrainConfig, TrainingError
 from .data import DatasetSpec
-from .numeric import Rng, write_csv
+from .numeric import Rng, check_keys, check_version, write_csv
 from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, stability_region_grid
 
 EXIT_OK = 0
@@ -45,95 +46,38 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config file handling
 
-def _check_keys(d, path, required, optional=()):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"{path}: missing required keys {missing}")
-    unknown = [k for k in d if k not in required and k not in optional]
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-
-
-def _check_ints(d, path, keys):
-    # JSON numbers like 1.5 would otherwise pass the range checks and fail
-    # deep inside training or sampling.
-    for k in keys:
-        if k in d and (not isinstance(d[k], int) or isinstance(d[k], bool)):
-            raise ConfigError(f"{path}.{k}: expected an integer, got {d[k]!r}")
-
-
-def _parse_dataset(d, path="dataset"):
-    _check_keys(d, path, required=("kind",), optional=("n", "noise", "dim"))
-    _check_ints(d, path, ("n", "dim"))
-    try:
-        return DatasetSpec.from_dict(d)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_solver_spec(d, path):
-    _check_keys(d, path, required=("method",), optional=("steps", "atol", "rtol"))
-    _check_ints(d, path, ("steps",))
-    try:
-        return SolverSpec.from_dict(d)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def load_run_config(path):
-    """Parse and validate a run config JSON file.
+    """Parse and validate a run config JSON file into ``(TrainConfig, grid)``.
 
     Schema (strict at every level):
       {format_version: 1, seed, dataset: {kind, n?, noise?, dim?},
        train?: {epochs?, batch_size?, lr?, mlp?: {hidden?, n_blocks?, time_embed_dim?}},
        solver_grid?: [{method, steps? | atol?, rtol?}, ...]}
+    The nested objects are checked by the dataclasses they build.  ``grid``
+    is a list of :class:`SolverSpec`, or None without a solver_grid.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        check_keys(
+            doc, "config",
+            required=("format_version", "seed", "dataset"),
+            optional=("train", "solver_grid"),
+        )
+        check_version(doc["format_version"], CONFIG_FORMAT_VERSION, "config")
+        train = doc.get("train", {})
+        check_keys(train, "train", required=(), optional=("epochs", "batch_size", "lr", "mlp"))
+        tc = TrainConfig.default(DatasetSpec.from_dict(doc["dataset"]), seed=doc["seed"], **train)
+        grid = doc.get("solver_grid")
+        if grid is not None:
+            if not isinstance(grid, list) or not grid:
+                raise ValueError("solver_grid: expected a non-empty list")
+            grid = [SolverSpec.from_dict(s) for s in grid]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    _check_keys(
-        doc, "config",
-        required=("format_version", "seed", "dataset"),
-        optional=("train", "solver_grid"),
-    )
-    _check_ints(doc, "config", ("seed",))
-    if doc["format_version"] != CONFIG_FORMAT_VERSION:
-        raise ConfigError(f"unsupported config format_version {doc['format_version']!r}")
-    dataset = _parse_dataset(doc["dataset"])
-    train = doc.get("train", {})
-    _check_keys(train, "train", required=(), optional=("epochs", "batch_size", "lr", "mlp"))
-    _check_ints(train, "train", ("epochs", "batch_size"))
-    mlp = train.get("mlp", {})
-    _check_keys(mlp, "train.mlp", required=(), optional=("hidden", "n_blocks", "time_embed_dim"))
-    _check_ints(mlp, "train.mlp", ("hidden", "n_blocks", "time_embed_dim"))
-    grid = None
-    if "solver_grid" in doc:
-        if not isinstance(doc["solver_grid"], list) or not doc["solver_grid"]:
-            raise ConfigError("solver_grid: expected a non-empty list")
-        grid = [_parse_solver_spec(s, f"solver_grid[{i}]") for i, s in enumerate(doc["solver_grid"])]
-    return {
-        "seed": doc["seed"],
-        "dataset": dataset,
-        "train_overrides": {k: train[k] for k in ("epochs", "batch_size", "lr") if k in train},
-        "mlp_overrides": dict(mlp),
-        "solver_grid": grid,
-    }
-
-
-def _train_config(rc, seed, hidden=None):
-    mlp = dict(rc["mlp_overrides"])
-    if hidden is not None:
-        mlp["hidden"] = hidden
-    try:
-        return TrainConfig.default(rc["dataset"], seed=seed, mlp=mlp, **rc["train_overrides"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    return tc, grid
 
 
 def _resolve_seed(seed):
@@ -228,9 +172,8 @@ def cmd_stability(args):
 
 
 def cmd_train(args):
-    rc = load_run_config(args.config)
-    seed = _resolve_seed(args.seed if args.seed is not None else rc["seed"])
-    tc = _train_config(rc, seed)
+    tc, _ = load_run_config(args.config)
+    tc = replace(tc, seed=_resolve_seed(args.seed if args.seed is not None else tc.seed))
     model = cfm.train(tc)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _ensure_dir(out_dir)
@@ -296,18 +239,18 @@ def _write_pareto(path_csv, path_svg, rows):
 
 def cmd_benchmark(args):
     out = _ensure_dir(args.out)
-    rc = load_run_config(args.config) if args.config else None
-    grid = (rc and rc["solver_grid"]) or _default_grid()
+    tc, grid = load_run_config(args.config) if args.config else (None, None)
+    grid = grid or _default_grid()
     if args.hidden:
-        if rc is None:
+        if tc is None:
             raise ConfigError("--hidden sweep needs --config with dataset/train settings")
         widths = [int(w) for w in args.hidden.split(",")]
-        seed = _resolve_seed(args.seed if args.seed is not None else rc["seed"])
+        seed = _resolve_seed(args.seed if args.seed is not None else tc.seed)
         ablation = []
         for w in widths:
-            tc = _train_config(rc, seed, hidden=w)
+            tc_w = replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w))
             print(f"training hidden={w} ...")
-            model = cfm.train(tc)
+            model = cfm.train(tc_w)
             rows = _benchmark_one(model, grid, args, Rng(seed, stream=w))
             _write_pareto(
                 os.path.join(out, f"pareto_hidden{w}.csv"),
@@ -400,6 +343,15 @@ def cmd_dopri_trace(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def count(text):
+    """argparse type of the count flags: an integer >= 1, so a bad count
+    fails before any model is loaded or sampled."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fmsolve",
@@ -408,7 +360,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convergence", help="global error vs step size, fitted orders")
-    p.add_argument("--dim", type=int, default=1, help="replicate the decay problem across dimensions")
+    p.add_argument("--dim", type=count, default=1,
+                   help="replicate the decay problem across dimensions")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_convergence)
 
@@ -432,10 +385,10 @@ def build_parser():
     p = sub.add_parser("sample", help="sample from a trained model with a chosen solver")
     p.add_argument("--model", required=True)
     p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
-    p.add_argument("--steps", type=int, default=None, help="step count (fixed-step solvers only)")
+    p.add_argument("--steps", type=count, default=None, help="step count (fixed-step solvers only)")
     p.add_argument("--atol", type=float, default=None, help="dopri5 only (default 1e-5)")
     p.add_argument("--rtol", type=float, default=None, help="dopri5 only (default 1e-5)")
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sample)
@@ -444,17 +397,17 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--config", default=None, help="run config (solver_grid, ablation training)")
     p.add_argument("--hidden", default=None, help="comma list of widths: retrain per width")
-    p.add_argument("--n", type=int, default=2000, help="generated/reference sample count")
-    p.add_argument("--projections", type=int, default=200)
+    p.add_argument("--n", type=count, default=2000, help="generated/reference sample count")
+    p.add_argument("--projections", type=count, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("jacobian", help="Jacobian eigenvalue spectrum along trajectories")
     p.add_argument("--model", required=True)
-    p.add_argument("--n-samples", type=int, default=200)
-    p.add_argument("--time-points", type=int, default=11)
-    p.add_argument("--steps", type=int, default=50, help="RK4 marching steps over [0,1]")
+    p.add_argument("--n-samples", type=count, default=200)
+    p.add_argument("--time-points", type=count, default=11)
+    p.add_argument("--steps", type=count, default=50, help="RK4 marching steps over [0,1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_jacobian)
@@ -463,8 +416,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--atol", type=float, default=1e-5)
     p.add_argument("--rtol", type=float, default=1e-5)
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--n", type=count, default=2000)
+    p.add_argument("--bins", type=count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_dopri_trace)

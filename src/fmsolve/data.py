@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import write_csv
+from .numeric import check_field_types, write_csv
 
 __all__ = ["DatasetSpec", "generate", "component_sizes", "export_csv", "DATASET_KINDS"]
 
@@ -28,6 +28,7 @@ class DatasetSpec:
     dim: int = 2  # gaussian_nd only; moons/circles are 2D
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; choose from {DATASET_KINDS}")
         if self.n < 1:

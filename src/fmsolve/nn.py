@@ -20,6 +20,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .numeric import check_field_types
+
 __all__ = [
     "MlpConfig",
     "BlockParams",
@@ -51,6 +53,7 @@ class MlpConfig:
     time_embed_dim: int = 64
 
     def __post_init__(self):
+        check_field_types(self)
         if self.data_dim < 1:
             raise ValueError("data_dim must be >= 1")
         if self.hidden < 1 or self.n_blocks < 1:

@@ -11,6 +11,9 @@ from uniforms to normals.
 """
 
 import csv
+import numbers
+import typing
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,6 +24,9 @@ __all__ = [
     "cond2x2",
     "wasserstein2_1d",
     "write_csv",
+    "check_field_types",
+    "check_keys",
+    "check_version",
 ]
 
 
@@ -152,3 +158,43 @@ def write_csv(path, header, rows):
         w = csv.writer(fh)
         for row in [header, *rows]:
             w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+# What the int and float annotations accept, so numpy scalars count too.
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
+
+
+def check_field_types(obj):
+    """Raise ValueError if a dataclass field does not fit its annotation.
+
+    An ``int`` field takes an integer, a ``float`` field any real number,
+    other annotations their instances; bool is never a number, and None
+    fits only a union with None.  JSON values such as 1.5 or true would
+    otherwise pass the range checks and fail deep inside a run.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kinds = typing.get_args(f.type) or (f.type,)
+        accepted = tuple(_NUMBER_KINDS.get(kind, kind) for kind in kinds)
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise ValueError(f"{type(obj).__name__}.{f.name}: expected {expected}, got {value!r}")
+
+
+def check_keys(d, path, required, optional=()):
+    """Raise ValueError unless d is a dict with every required key and only optional others."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected an object")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{path}: missing required keys {missing}")
+    unknown = [k for k in d if k not in required and k not in optional]
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {unknown}")
+
+
+def check_version(value, expected, path):
+    """Raise ValueError unless a format_version is the integer expected."""
+    # true and 1.0 compare equal to 1 but are not versions
+    if type(value) is not int or value != expected:
+        raise ValueError(f"{path}: unsupported format_version {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import write_csv
+from .numeric import check_field_types, write_csv
 
 __all__ = [
     "VectorField",
@@ -303,8 +303,14 @@ class StepControlConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
+        check_field_types(self)
         if not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
+        # a zero step is "accepted" without advancing until max_steps runs out
+        if self.h_init is not None and self.h_init <= 0:
+            raise ValueError(f"h_init must be positive, got {self.h_init}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 # Step-size controller: the next step is
@@ -358,12 +364,12 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
     The trial costs one field evaluation unless the flat-field shortcut
     triggers.
     """
+    span = t1 - t0
     if cfg.h_init is not None:
-        return float(cfg.h_init)
+        return min(float(cfg.h_init), span)
     y0 = np.asarray(y0, dtype=float)
     if f0 is None:
         f0 = _check_finite(f(t0, y0), t0, y0)
-    span = t1 - t0
     scale = cfg.atol + np.abs(y0) * cfg.rtol
     d0 = _scaled_rms(y0, scale)
     d1 = _scaled_rms(f0, scale)
@@ -412,7 +418,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     trace = SolveTrace()
 
     k1 = _check_finite(f(t, y), t, y)
-    h = min(initial_step_guess(f, t0, y, t1, cfg, f0=k1), t1 - t0)
+    h = initial_step_guess(f, t0, y, t1, cfg, f0=k1)
 
     just_rejected = False
     while t < t1:

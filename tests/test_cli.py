@@ -316,6 +316,20 @@ MALFORMED_INPUT = {
     "config-output-dir": lambda ws, model: _train_argv(
         ws, lambda d: d.update(output_dir="/nonexistent/where")),
     "fractional-seed": lambda ws, model: _train_argv(ws, lambda d: d.update(seed=1.7)),
+    "config-version-true": lambda ws, model: _train_argv(
+        ws, lambda d: d.update(format_version=True)),
+    "config-version-float": lambda ws, model: _train_argv(
+        ws, lambda d: d.update(format_version=1.0)),
+    "model-version-true": lambda ws, model: _model_argv(
+        ws, model, lambda d: d.update(format_version=True)),
+    "model-fractional-seed": lambda ws, model: _model_argv(
+        ws, model, lambda d: d.update(seed=2.5)),
+    "model-fractional-epochs": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["config"].update(epochs=1.5)),
+    "model-bool-noise": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["config"]["dataset"].update(noise=True)),
+    "model-config-unknown-key": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["config"].update(extra=1)),
 }
 
 
@@ -326,6 +340,28 @@ class TestMalformedInput:
         capsys.readouterr()
         assert cli.main(MALFORMED_INPUT[case](workspace, model)) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+COUNT_FLAGS = {
+    # (subcommand and flags, the file the subcommand would write)
+    "dopri-trace-bins": (["dopri-trace", "--n", "8", "--bins", "0"], "dopri_trace.csv"),
+    "benchmark-projections": (["benchmark", "--n", "8", "--projections", "0"], "pareto.csv"),
+    "jacobian-time-points": (["jacobian", "--n-samples", "4", "--time-points", "0"],
+                             "spectrum.csv"),
+}
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("case", COUNT_FLAGS)
+    def test_rejected_before_any_work(self, case, trained, capsys):
+        workspace, model = trained
+        argv, written = COUNT_FLAGS[case]
+        out = workspace / "counts"
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*argv, "--model", str(model), "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not (out / written).exists()
 
 
 class TestSvgOutput:

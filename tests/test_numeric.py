@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from fmsolve.cfm import SolverSpec
+from fmsolve.data import DatasetSpec
+from fmsolve.nn import MlpConfig
 from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample, wasserstein2_1d
+from fmsolve.ode import StepControlConfig
 
 
 class TestRng:
@@ -126,3 +130,28 @@ class TestWasserstein1d:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             wasserstein2_1d([0.0], [0.0, 1.0])
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SolverSpec("rk4", 2.5),
+            lambda: DatasetSpec("moons", n=True),
+            lambda: StepControlConfig(max_steps=2.5),
+            lambda: DatasetSpec("moons", noise=False),
+            lambda: DatasetSpec(7),
+            lambda: MlpConfig(hidden=None),
+            lambda: StepControlConfig(atol="1e-5"),
+        ],
+        ids=["fractional-steps", "bool-count", "fractional-max-steps", "bool-number",
+             "int-for-str", "none-for-int", "str-for-float"],
+    )
+    def test_wrong_type_raises_value_error(self, build):
+        with pytest.raises(ValueError, match="expected"):
+            build()
+
+    def test_numpy_scalars_and_optional_none_accepted(self):
+        assert DatasetSpec("moons", n=np.int64(64), noise=np.float32(0.5)).n == 64
+        assert SolverSpec("dopri5", atol=1, rtol=np.float64(1e-4)).n_steps is None
+        assert StepControlConfig(h_init=None, max_steps=np.int32(5)).max_steps == 5

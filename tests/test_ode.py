@@ -252,6 +252,13 @@ class TestProposeStep:
         with pytest.raises(ValueError):
             StepControlConfig(rtol=-1e-5)
 
+    @pytest.mark.parametrize("bad", [{"h_init": 0.0}, {"h_init": -0.1}, {"max_steps": 0}])
+    def test_config_rejects_runs_that_cannot_advance(self, bad):
+        # h_init = 0 was accepted and "advanced" by zero steps until max_steps
+        # ran out; a negative one ended in a misleading step size underflow
+        with pytest.raises(ValueError):
+            StepControlConfig(**bad)
+
     def test_config_fields(self):
         assert [f.name for f in fields(StepControlConfig)] == ["atol", "rtol", "h_init", "max_steps"]
 
@@ -262,6 +269,10 @@ class TestInitialStepGuess:
     def test_explicit_override(self):
         cfg = StepControlConfig(h_init=0.01)
         assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg) == 0.01
+
+    def test_explicit_override_clips_to_interval(self):
+        cfg = StepControlConfig(h_init=5.0)
+        assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg) == 1.0
 
     def test_zero_field_clips_to_interval(self):
         f = VectorField(lambda t, y: 0.0 * y)
