@@ -345,6 +345,8 @@ def stability_demo(lam, h_values, t1, n_report=200):
     """
     if lam >= 0:
         raise ValueError("demo expects a decaying field (lam < 0)")
+    if not (math.isfinite(t1) and t1 > 0):
+        raise ValueError(f"demo horizon t1 must be finite and > 0, got {t1}")
     traces = []
     for h in h_values:
         n_steps = min(int(math.ceil(t1 / h - 1e-12)), int(n_report))

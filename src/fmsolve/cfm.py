@@ -322,12 +322,16 @@ def load_model(path):
         config = TrainConfig.from_dict(doc["config"], seed=doc["seed"])
         params = nn.params_from_arrays(config.mlp, doc["params"])
         meta = doc["training_meta"]
-        return TrainedModel(
-            params=params,
-            config=config,
-            data_mean=np.asarray(meta["data_mean"], dtype=float),
-            data_std=np.asarray(meta["data_std"], dtype=float),
-            loss_curve=list(meta["loss_curve"]),
-        )
+        check_keys(meta, "training_meta",
+                   required=("data_mean", "data_std", "epochs", "final_loss", "loss_curve"))
+        mean, std = (np.asarray(meta[k], dtype=float) for k in ("data_mean", "data_std"))
+        # sampling maps every point back through mean and std
+        if mean.shape != (config.mlp.data_dim,) or std.shape != mean.shape:
+            raise ValueError(f"training_meta: data_mean and data_std need {config.mlp.data_dim} "
+                             f"entries each")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise ValueError("training_meta: data_mean must be finite, data_std finite and > 0")
+        return TrainedModel(params=params, config=config, data_mean=mean, data_std=std,
+                            loss_curve=list(meta["loss_curve"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: malformed entry {exc}") from exc

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def load_run_config(path):
         if grid is not None:
             if not isinstance(grid, list) or not grid:
                 raise ValueError("solver_grid: expected a non-empty list")
-            grid = [SolverSpec.from_dict(s) for s in grid]
+            grid = [_grid_entry(i, s) for i, s in enumerate(grid)]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -80,14 +80,25 @@ def load_run_config(path):
     return tc, grid
 
 
-def _resolve_seed(seed):
+def _grid_entry(i, d):
+    """SolverSpec of solver_grid entry i; its errors name the entry."""
+    try:
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an object, got {d!r}")
+        return SolverSpec.from_dict(d)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"solver_grid[{i}]: {exc}") from exc
+
+
+def _resolve_seed(flag, default=None):
+    """FMSOLVE_SEED if set, else the --seed flag if given, else ``default``."""
     env = os.environ.get("FMSOLVE_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise ConfigError(f"FMSOLVE_SEED must be an integer, got {env!r}") from None
-    return seed
+    return default if flag is None else flag
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +113,20 @@ def _default_grid():
     return [SolverSpec(m, n) for m, n in DEFAULT_GRID] + [SolverSpec("dopri5")]
 
 
+def _header(record_type, **rename):
+    """CSV header of a result dataclass: its field names, some renamed."""
+    return [rename.get(f.name, f.name) for f in fields(record_type)]
+
+
+def _method_series(rows, labels, x, y):
+    """One line-chart series per method in ``labels`` that has rows."""
+    return [
+        {"label": label, "x": [x(r) for r in rows if r.method == m],
+         "y": [y(r) for r in rows if r.method == m]}
+        for m, label in labels.items() if any(r.method == m for r in rows)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -109,32 +134,24 @@ def cmd_convergence(args):
     out = _ensure_dir(args.out)
     h_list = [2.0**-e for e in range(3, 11)]
     problem = analysis.DecayProblem(lam=-1.0, y0=1.0, t1=1.0, dim=args.dim)
-    methods = FIXED_STEP_METHODS
-    rows, slopes = analysis.convergence_study(problem, methods, h_list)
+    rows, slopes = analysis.convergence_study(problem, FIXED_STEP_METHODS, h_list)
     tols = [10.0**-e for e in range(3, 11)]
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
+    all_rows = rows + dopri_rows
     write_csv(
         os.path.join(out, "convergence.csv"),
-        ["method", "h", "error"],
-        [(r.method, r.h, r.global_error) for r in rows + dopri_rows],
+        _header(analysis.ConvergenceRow, global_error="error"),
+        map(astuple, all_rows),
     )
-    series = [
-        {"label": m, "x": [r.h for r in rows if r.method == m],
-         "y": [max(r.global_error, 1e-17) for r in rows if r.method == m]}
-        for m in methods
-    ]
-    series.append({
-        "label": "dopri5 (tol on h axis)",
-        "x": [r.h for r in dopri_rows],
-        "y": [max(r.global_error, 1e-17) for r in dopri_rows],
-    })
+    labels = {**{m: m for m in FIXED_STEP_METHODS}, "dopri5": "dopri5 (tol on h axis)"}
     svg.line_chart(
-        os.path.join(out, "convergence.svg"), series,
+        os.path.join(out, "convergence.svg"),
+        _method_series(all_rows, labels, lambda r: r.h, lambda r: max(r.global_error, 1e-17)),
         title=f"Global error at t=1, decay problem ({args.dim}D)",
         xlabel="step size h (tolerance for dopri5)", ylabel="global error",
         logx=True, logy=True,
     )
-    for m in methods:
+    for m in FIXED_STEP_METHODS:
         print(f"{m:<9} slope {slopes[m]:.3f}")
     dopri_slope = analysis.fit_loglog_slope(
         [(r.h, r.global_error) for r in dopri_rows if r.global_error > analysis.ERROR_FLOOR]
@@ -144,19 +161,23 @@ def cmd_convergence(args):
 
 
 def cmd_stability(args):
+    # everything is computed before the first file is written, so a bad
+    # range or horizon fails without leaving partial output behind
+    rasters = [
+        stability_region_grid(m, (args.re_min, args.re_max), (args.im_min, args.im_max),
+                              args.resolution)
+        for m in SOLVER_NAMES
+    ]
+    demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
+    traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1, n_report=200)
     out = _ensure_dir(args.out)
-    for method in SOLVER_NAMES:
-        raster = stability_region_grid(
-            method, (args.re_min, args.re_max), (args.im_min, args.im_max), args.resolution
-        )
+    for method, raster in zip(SOLVER_NAMES, rasters):
         raster.write_csv(os.path.join(out, f"stability_{method}.csv"))
         svg.raster_chart(
             os.path.join(out, f"stability_{method}.svg"), raster,
             title=f"{method}: |R(z)| <= 1",
         )
         print(f"{method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
-    demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
-    traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1, n_report=200)
     demo_rows = [(tr.h, n, y) for tr in traces for n, y in enumerate(tr.y.tolist())]
     write_csv(os.path.join(out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
     svg.line_chart(
@@ -173,10 +194,9 @@ def cmd_stability(args):
 
 def cmd_train(args):
     tc, _ = load_run_config(args.config)
-    tc = replace(tc, seed=_resolve_seed(args.seed if args.seed is not None else tc.seed))
+    tc = replace(tc, seed=_resolve_seed(args.seed, tc.seed))
     model = cfm.train(tc)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    _ensure_dir(out_dir)
+    _ensure_dir(os.path.dirname(os.path.abspath(args.out)))
     cfm.save_model(model, args.out)
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
     write_csv(loss_csv, ["epoch", "loss"], enumerate(model.loss_curve))
@@ -206,8 +226,7 @@ def cmd_sample(args):
     trace.write_csv(os.path.join(out, "trace.csv"))
     if points.shape[1] == 2:
         svg.scatter_chart(
-            os.path.join(out, "samples.svg"),
-            [{"label": f"{spec.method}-{spec.steps_label}", "points": points}],
+            os.path.join(out, "samples.svg"), points, label=f"{spec.method}-{spec.steps_label}",
             title=f"samples ({spec.method}, {spec.steps_label} steps)",
             xlabel="x0", ylabel="x1",
         )
@@ -225,16 +244,14 @@ def _benchmark_one(model, grid, args, rng):
     return rows
 
 
-def _write_pareto(path_csv, path_svg, rows):
-    write_csv(path_csv, ["method", "steps", "nfe", "swd"],
-               [(r.method, r.steps, r.nfe, r.swd) for r in rows])
-    series = []
-    for m in SOLVER_NAMES:
-        sub = [r for r in rows if r.method == m]
-        if sub:
-            series.append({"label": m, "x": [r.nfe for r in sub], "y": [r.swd for r in sub]})
-    svg.line_chart(path_svg, series, title="NFE vs SWD", xlabel="NFE", ylabel="SWD",
-                   logx=True, logy=True)
+def _write_pareto(out, name, rows):
+    """``<name>.csv`` and ``<name>.svg`` of one benchmark run in ``out``."""
+    write_csv(os.path.join(out, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
+    svg.line_chart(
+        os.path.join(out, f"{name}.svg"),
+        _method_series(rows, {m: m for m in SOLVER_NAMES}, lambda r: r.nfe, lambda r: r.swd),
+        title="NFE vs SWD", xlabel="NFE", ylabel="SWD", logx=True, logy=True,
+    )
 
 
 def cmd_benchmark(args):
@@ -245,28 +262,25 @@ def cmd_benchmark(args):
         if tc is None:
             raise ConfigError("--hidden sweep needs --config with dataset/train settings")
         widths = [int(w) for w in args.hidden.split(",")]
-        seed = _resolve_seed(args.seed if args.seed is not None else tc.seed)
+        seed = _resolve_seed(args.seed, tc.seed)
         ablation = []
         for w in widths:
             tc_w = replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w))
             print(f"training hidden={w} ...")
             model = cfm.train(tc_w)
             rows = _benchmark_one(model, grid, args, Rng(seed, stream=w))
-            _write_pareto(
-                os.path.join(out, f"pareto_hidden{w}.csv"),
-                os.path.join(out, f"pareto_hidden{w}.svg"), rows,
-            )
-            ablation += [(w, r.method, r.steps, r.nfe, r.swd) for r in rows]
-        write_csv(os.path.join(out, "ablation.csv"),
-                   ["hidden", "method", "steps", "nfe", "swd"], ablation)
+            _write_pareto(out, f"pareto_hidden{w}", rows)
+            ablation += [(w, *astuple(r)) for r in rows]
+        write_csv(os.path.join(out, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)],
+                  ablation)
         print(f"ablation over widths {widths} -> {os.path.join(out, 'ablation.csv')}")
         return EXIT_OK
     if not args.model:
         raise ConfigError("--model is required (or use --hidden with --config)")
     model = cfm.load_model(args.model)
-    seed = _resolve_seed(args.seed if args.seed is not None else model.config.seed)
+    seed = _resolve_seed(args.seed, model.config.seed)
     rows = _benchmark_one(model, grid, args, Rng(seed))
-    _write_pareto(os.path.join(out, "pareto.csv"), os.path.join(out, "pareto.svg"), rows)
+    _write_pareto(out, "pareto", rows)
     for r in rows:
         print(f"{r.method:<9} steps={r.steps:<9} nfe={r.nfe:<6} swd={r.swd:.5f}")
     return EXIT_OK
@@ -282,28 +296,20 @@ def cmd_jacobian(args):
     rows = analysis.spectrum_along_trajectory(
         model, args.n_samples, grid, SolverSpec("rk4", args.steps), Rng(seed)
     )
-    write_csv(
-        os.path.join(out, "spectrum.csv"),
-        ["t", "eig1_re_mean", "eig1_re_std", "eig2_re_mean", "eig2_re_std", "cond_median"],
-        [(r.t, r.eig1_re_mean, r.eig1_re_std, r.eig2_re_mean, r.eig2_re_std, r.cond_median)
-         for r in rows],
-    )
+    write_csv(os.path.join(out, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
     ts = [r.t for r in rows]
+    series = []
+    # per eigenvalue: the mean line and the two edges of its +-1 std band
+    for eig, color, band in (("eig1", svg.PALETTE[0], "#aec7e8"), ("eig2", svg.PALETTE[1], "#ffbb78")):
+        mean = [getattr(r, f"{eig}_re_mean") for r in rows]
+        std = [getattr(r, f"{eig}_re_std") for r in rows]
+        series += [
+            {"label": f"{eig} re (mean)", "x": ts, "y": mean, "color": color},
+            {"label": f"{eig} +-1 std", "x": ts, "y": [m + s for m, s in zip(mean, std)], "color": band},
+            {"label": "", "x": ts, "y": [m - s for m, s in zip(mean, std)], "color": band},
+        ]
     svg.line_chart(
-        os.path.join(out, "spectrum.svg"),
-        [
-            {"label": "eig1 re (mean)", "x": ts, "y": [r.eig1_re_mean for r in rows]},
-            {"label": "eig1 +-1 std", "x": ts, "y": [r.eig1_re_mean + r.eig1_re_std for r in rows],
-             "color": "#aec7e8"},
-            {"label": "", "x": ts, "y": [r.eig1_re_mean - r.eig1_re_std for r in rows],
-             "color": "#aec7e8"},
-            {"label": "eig2 re (mean)", "x": ts, "y": [r.eig2_re_mean for r in rows],
-             "color": "#ff7f0e"},
-            {"label": "eig2 +-1 std", "x": ts, "y": [r.eig2_re_mean + r.eig2_re_std for r in rows],
-             "color": "#ffbb78"},
-            {"label": "", "x": ts, "y": [r.eig2_re_mean - r.eig2_re_std for r in rows],
-             "color": "#ffbb78"},
-        ],
+        os.path.join(out, "spectrum.svg"), series,
         title="Jacobian eigenvalues along the flow", xlabel="t", ylabel="Re(eig)",
     )
     for r in rows:
@@ -330,9 +336,7 @@ def cmd_dopri_trace(args):
         ],
         title=f"DOPRI5 step sizes (atol=rtol={args.atol:g})", xlabel="t", ylabel="h",
     )
-    acc = len(summary.accepted)
-    rej = trace.n_rejected
-    print(f"accepted {acc}, rejected {rej}, NFE {trace.nfe_total}")
+    print(f"accepted {len(summary.accepted)}, rejected {trace.n_rejected}, NFE {trace.nfe_total}")
     for lo, hi, c, mh in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
                              summary.counts, summary.mean_h):
         mh_str = f"{mh:.4g}" if np.isfinite(mh) else "-"

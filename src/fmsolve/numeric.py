@@ -11,6 +11,7 @@ from uniforms to normals.
 """
 
 import csv
+import math
 import numbers
 import typing
 from dataclasses import fields
@@ -167,10 +168,11 @@ _NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
 def check_field_types(obj):
     """Raise ValueError if a dataclass field does not fit its annotation.
 
-    An ``int`` field takes an integer, a ``float`` field any real number,
-    other annotations their instances; bool is never a number, and None
-    fits only a union with None.  JSON values such as 1.5 or true would
-    otherwise pass the range checks and fail deep inside a run.
+    An ``int`` field takes an integer, a ``float`` field any finite real
+    number, other annotations their instances; bool is never a number, and
+    None fits only a union with None.  JSON values such as 1.5, true or NaN
+    would otherwise pass the range checks and fail deep inside a run, or
+    not at all.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -179,6 +181,8 @@ def check_field_types(obj):
         if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
             expected = " or ".join(kind.__name__ for kind in kinds)
             raise ValueError(f"{type(obj).__name__}.{f.name}: expected {expected}, got {value!r}")
+        if float in kinds and isinstance(value, float | np.floating) and not math.isfinite(value):
+            raise ValueError(f"{type(obj).__name__}.{f.name}: expected a finite number, got {value!r}")
 
 
 def check_keys(d, path, required, optional=()):

@@ -510,8 +510,9 @@ class StabilityRaster:
 def stability_region_grid(method, re_range, im_range, resolution):
     """Rasterize the stability region {z : |R(z)| <= 1} of a method.
 
-    ``resolution`` is the number of grid points per axis (a single int or a
-    (re, im) pair), at least 2 per axis.
+    ``re_range`` and ``im_range`` are finite (min, max) pairs with
+    min < max; ``resolution`` is the number of grid points per axis (a
+    single int or a (re, im) pair), at least 2 per axis.
     """
     if np.isscalar(resolution):
         n_re = n_im = int(resolution)
@@ -519,6 +520,9 @@ def stability_region_grid(method, re_range, im_range, resolution):
         n_re, n_im = (int(r) for r in resolution)
     if n_re < 2 or n_im < 2:
         raise ValueError("resolution must be >= 2 per axis")
+    for name, (lo, hi) in (("re_range", re_range), ("im_range", im_range)):
+        if not (np.isfinite([lo, hi]).all() and lo < hi):
+            raise ValueError(f"{name} must be finite with min < max, got ({lo}, {hi})")
     re = np.linspace(re_range[0], re_range[1], n_re)
     im = np.linspace(im_range[0], im_range[1], n_im)
     z = re[None, :] + 1j * im[:, None]

@@ -7,9 +7,15 @@ axes, decade or 1-2-5 ticks, a small legend, fixed palette.
 
 import math
 
+import numpy as np
+
 PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#17becf"]
 
 _MARGIN = {"left": 64, "right": 16, "top": 28, "bottom": 44}
+
+# one size per chart kind, (width, height) in pixels
+_LINE_SIZE = (640, 480)
+_SQUARE_SIZE = (520, 520)
 
 
 def _esc(text):
@@ -32,9 +38,8 @@ def _ticks_linear(lo, hi, target=5):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    v = first
+    v = math.ceil(lo / step) * step
     while v <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
         v += step
@@ -42,192 +47,155 @@ def _ticks_linear(lo, hi, target=5):
 
 
 def _ticks_log(lo, hi):
-    ticks = []
-    for e in range(math.floor(lo), math.ceil(hi) + 1):
-        if lo - 1e-9 <= e <= hi + 1e-9:
-            ticks.append(e)
+    ticks = [e for e in range(math.floor(lo), math.ceil(hi) + 1) if lo - 1e-9 <= e <= hi + 1e-9]
     return ticks or [lo, hi]
 
 
-class _Axes:
-    """Maps data coordinates to pixel coordinates and renders the frame."""
+class _Scale:
+    """One axis: maps data values (linearly or in log10) onto the pixel span
+    p0..p1 and lays out its own ticks with ``tick_markup``, a format string
+    over the tick's pixel ``p``, ``q = p + 3`` and its ``label``."""
 
-    def __init__(self, size, xlim, ylim, logx, logy):
-        self.w, self.h = size
-        self.logx, self.logy = logx, logy
-        self.x0, self.x1 = (math.log10(xlim[0]), math.log10(xlim[1])) if logx else xlim
-        self.y0, self.y1 = (math.log10(ylim[0]), math.log10(ylim[1])) if logy else ylim
-        if self.x1 <= self.x0:
-            self.x0, self.x1 = self.x0 - 0.5, self.x0 + 0.5
-        if self.y1 <= self.y0:
-            self.y0, self.y1 = self.y0 - 0.5, self.y0 + 0.5
-        self.px0 = _MARGIN["left"]
-        self.px1 = self.w - _MARGIN["right"]
-        self.py0 = self.h - _MARGIN["bottom"]
-        self.py1 = _MARGIN["top"]
+    def __init__(self, lim, log, p0, p1, tick_markup):
+        self.log = log
+        self.lo, self.hi = (math.log10(lim[0]), math.log10(lim[1])) if log else lim
+        if self.hi <= self.lo:
+            self.lo, self.hi = self.lo - 0.5, self.lo + 0.5
+        self.p0, self.p1 = p0, p1
+        self.tick_markup = tick_markup
 
-    def x(self, v):
-        v = math.log10(v) if self.logx else v
-        return self.px0 + (v - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
+    def _pixel(self, u):
+        return self.p0 + (u - self.lo) / (self.hi - self.lo) * (self.p1 - self.p0)
 
-    def y(self, v):
-        v = math.log10(v) if self.logy else v
-        return self.py0 + (v - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+    def __call__(self, v):
+        return self._pixel(math.log10(v) if self.log else v)
 
-    def frame(self, title, xlabel, ylabel):
-        el = [
-            f'<rect x="{self.px0}" y="{self.py1}" width="{self.px1 - self.px0}" '
-            f'height="{self.py0 - self.py1}" fill="none" stroke="#444"/>'
+    def ticks(self):
+        ticks = _ticks_log(self.lo, self.hi) if self.log else _ticks_linear(self.lo, self.hi)
+        return [
+            self.tick_markup.format(p=self._pixel(t), q=self._pixel(t) + 3,
+                                    label=f"1e{t:g}" if self.log else _fmt(t))
+            for t in ticks
         ]
-        xticks = _ticks_log(self.x0, self.x1) if self.logx else _ticks_linear(self.x0, self.x1)
-        for t in xticks:
-            px = self.px0 + (t - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
-            label = f"1e{t:g}" if self.logx else _fmt(t)
-            el.append(f'<line x1="{px:.1f}" y1="{self.py0}" x2="{px:.1f}" y2="{self.py0 + 4}" stroke="#444"/>')
-            el.append(
-                f'<text x="{px:.1f}" y="{self.py0 + 16}" font-size="10" text-anchor="middle">{label}</text>'
-            )
-        yticks = _ticks_log(self.y0, self.y1) if self.logy else _ticks_linear(self.y0, self.y1)
-        for t in yticks:
-            py = self.py0 + (t - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
-            label = f"1e{t:g}" if self.logy else _fmt(t)
-            el.append(f'<line x1="{self.px0 - 4}" y1="{py:.1f}" x2="{self.px0}" y2="{py:.1f}" stroke="#444"/>')
-            el.append(
-                f'<text x="{self.px0 - 6}" y="{py + 3:.1f}" font-size="10" text-anchor="end">{label}</text>'
-            )
-        if title:
-            el.append(
-                f'<text x="{(self.px0 + self.px1) / 2}" y="{_MARGIN["top"] - 10}" font-size="13" '
-                f'text-anchor="middle">{_esc(title)}</text>'
-            )
-        if xlabel:
-            el.append(
-                f'<text x="{(self.px0 + self.px1) / 2}" y="{self.h - 8}" font-size="11" '
-                f'text-anchor="middle">{_esc(xlabel)}</text>'
-            )
-        if ylabel:
-            cy = (self.py0 + self.py1) / 2
-            el.append(
-                f'<text x="14" y="{cy}" font-size="11" text-anchor="middle" '
-                f'transform="rotate(-90 14 {cy})">{_esc(ylabel)}</text>'
-            )
-        return el
 
 
-def _legend(ax, labels):
-    el = []
-    for i, (label, color) in enumerate(labels):
-        y = ax.py1 + 14 + 14 * i
-        x = ax.px1 - 130
-        el.append(f'<line x1="{x}" y1="{y - 3}" x2="{x + 18}" y2="{y - 3}" stroke="{color}" stroke-width="2"/>')
-        el.append(f'<text x="{x + 24}" y="{y}" font-size="10">{_esc(label)}</text>')
-    return el
+class _Chart:
+    """A framed plot: two scales, the marks drawn through them, a legend.
 
+    ``x`` and ``y`` map data to pixels; chart functions append their marks
+    to ``marks`` and (label, color) pairs to ``legend``, then :meth:`write`
+    renders frame, ticks, titles, marks and legend as one document.
+    """
 
-def _document(size, elements):
-    w, h = size
-    body = "\n".join(elements)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n{body}\n</svg>\n'
-    )
+    def __init__(self, size, xlim, ylim, logx=False, logy=False):
+        self.w, self.h = size
+        left, right = _MARGIN["left"], self.w - _MARGIN["right"]
+        bottom, top = self.h - _MARGIN["bottom"], _MARGIN["top"]
+        # x ticks hang below the frame, y ticks stick out left of it
+        self.x = _Scale(xlim, logx, left, right, (
+            f'<line x1="{{p:.1f}}" y1="{bottom}" x2="{{p:.1f}}" y2="{bottom + 4}" stroke="#444"/>\n'
+            f'<text x="{{p:.1f}}" y="{bottom + 16}" font-size="10" text-anchor="middle">{{label}}</text>'
+        ))
+        self.y = _Scale(ylim, logy, bottom, top, (
+            f'<line x1="{left - 4}" y1="{{p:.1f}}" x2="{left}" y2="{{p:.1f}}" stroke="#444"/>\n'
+            f'<text x="{left - 6}" y="{{q:.1f}}" font-size="10" text-anchor="end">{{label}}</text>'
+        ))
+        self.marks = []
+        self.legend = []
 
-
-def _finite_positive(values, log):
-    return [v for v in values if math.isfinite(v) and (not log or v > 0)]
+    def write(self, path, title="", xlabel="", ylabel=""):
+        left, right, bottom, top = self.x.p0, self.x.p1, self.y.p0, self.y.p1
+        el = [
+            f'<rect width="{self.w}" height="{self.h}" fill="white"/>',
+            f'<rect x="{left}" y="{top}" width="{right - left}" '
+            f'height="{bottom - top}" fill="none" stroke="#444"/>',
+            *self.x.ticks(),
+            *self.y.ticks(),
+        ]
+        mid, cy = (left + right) / 2, (bottom + top) / 2
+        texts = [  # (text, x, y, font size, extra attributes)
+            (title, mid, top - 10, 13, ""),
+            (xlabel, mid, self.h - 8, 11, ""),
+            (ylabel, 14, cy, 11, f' transform="rotate(-90 14 {cy})"'),
+        ]
+        el += [
+            f'<text x="{x}" y="{y}" font-size="{size}" text-anchor="middle"{extra}>{_esc(text)}</text>'
+            for text, x, y, size, extra in texts if text
+        ]
+        el += self.marks
+        for i, (label, color) in enumerate(self.legend):
+            y, x = top + 14 + 14 * i, right - 130
+            el.append(f'<line x1="{x}" y1="{y - 3}" x2="{x + 18}" y2="{y - 3}" stroke="{color}" stroke-width="2"/>')
+            el.append(f'<text x="{x + 24}" y="{y}" font-size="10">{_esc(label)}</text>')
+        with open(path, "w") as fh:
+            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
+                     f'viewBox="0 0 {self.w} {self.h}">\n' + "\n".join(el) + "\n</svg>\n")
 
 
 def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=False,
-               size=(640, 480), markers=True):
+               markers=True):
     """Polyline chart.  ``series`` is a list of dicts {label, x, y[, color]}.
 
-    Nonpositive values are dropped on log axes.
+    Non-finite values, and nonpositive ones on a log axis, are dropped: a
+    point is drawn only if both coordinates are kept, while the axis limits
+    span every kept value, so a NaN y still widens the x axis.
     """
-    xs, ys = [], []
-    for s in series:
-        xs += _finite_positive(list(s["x"]), logx)
-        ys += _finite_positive(list(s["y"]), logy)
-    if not xs:
-        xs = [0.1, 1.0] if logx else [0.0, 1.0]
-    if not ys:
-        ys = [0.1, 1.0] if logy else [0.0, 1.0]
-    ax = _Axes(size, (min(xs), max(xs)), (min(ys), max(ys)), logx, logy)
-    el = ax.frame(title, xlabel, ylabel)
-    legend = []
+    def keep(v, log):
+        return math.isfinite(v) and (not log or v > 0)
+
+    xs = [x for s in series for x in s["x"] if keep(x, logx)] or ([0.1, 1.0] if logx else [0.0, 1.0])
+    ys = [y for s in series for y in s["y"] if keep(y, logy)] or ([0.1, 1.0] if logy else [0.0, 1.0])
+    chart = _Chart(_LINE_SIZE, (min(xs), max(xs)), (min(ys), max(ys)), logx, logy)
     for i, s in enumerate(series):
         color = s.get("color", PALETTE[i % len(PALETTE)])
-        pts = [
-            (ax.x(x), ax.y(y))
-            for x, y in zip(s["x"], s["y"])
-            if math.isfinite(x) and math.isfinite(y) and (not logx or x > 0) and (not logy or y > 0)
-        ]
+        pts = [(chart.x(x), chart.y(y)) for x, y in zip(s["x"], s["y"]) if keep(x, logx) and keep(y, logy)]
         if len(pts) >= 2:
             path_attr = " ".join(f"{px:.1f},{py:.1f}" for px, py in pts)
-            el.append(f'<polyline points="{path_attr}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            chart.marks.append(f'<polyline points="{path_attr}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if markers:
-            for px, py in pts:
-                el.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>')
+            chart.marks += [f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>' for px, py in pts]
         if s.get("label"):
-            legend.append((s["label"], color))
-    el += _legend(ax, legend)
-    with open(path, "w") as fh:
-        fh.write(_document(size, el))
+            chart.legend.append((s["label"], color))
+    chart.write(path, title, xlabel, ylabel)
 
 
-def scatter_chart(path, groups, title="", xlabel="", ylabel="", size=(520, 520)):
-    """Scatter plot of point groups: list of dicts {label, points (n x 2)[, color]}."""
-    xs, ys = [], []
-    for g in groups:
-        for p in g["points"]:
-            xs.append(float(p[0]))
-            ys.append(float(p[1]))
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
+def scatter_chart(path, points, label="", title="", xlabel="", ylabel=""):
+    """Scatter plot of one (n x 2) point set, with ``label`` as its legend entry."""
+    xs, ys = np.asarray(points, dtype=float).T.tolist()
     padx = 0.05 * (max(xs) - min(xs) or 1.0)
     pady = 0.05 * (max(ys) - min(ys) or 1.0)
-    ax = _Axes(size, (min(xs) - padx, max(xs) + padx), (min(ys) - pady, max(ys) + pady), False, False)
-    el = ax.frame(title, xlabel, ylabel)
-    legend = []
-    for i, g in enumerate(groups):
-        color = g.get("color", PALETTE[i % len(PALETTE)])
-        for p in g["points"]:
-            el.append(f'<circle cx="{ax.x(float(p[0])):.1f}" cy="{ax.y(float(p[1])):.1f}" r="1.8" fill="{color}" fill-opacity="0.6"/>')
-        if g.get("label"):
-            legend.append((g["label"], color))
-    el += _legend(ax, legend)
-    with open(path, "w") as fh:
-        fh.write(_document(size, el))
+    chart = _Chart(_SQUARE_SIZE, (min(xs) - padx, max(xs) + padx), (min(ys) - pady, max(ys) + pady))
+    color = PALETTE[0]
+    chart.marks = [
+        f'<circle cx="{chart.x(x):.1f}" cy="{chart.y(y):.1f}" r="1.8" fill="{color}" fill-opacity="0.6"/>'
+        for x, y in zip(xs, ys)
+    ]
+    chart.legend = [(label, color)] if label else []
+    chart.write(path, title, xlabel, ylabel)
 
 
-def raster_chart(path, raster, title="", size=(520, 520)):
+def raster_chart(path, raster, title=""):
     """Filled stability region: cells with |R| <= 1, drawn as merged row runs."""
     re, im, inside = raster.re, raster.im, raster.inside
-    ax = _Axes(size, (float(re[0]), float(re[-1])), (float(im[0]), float(im[-1])), False, False)
-    el = ax.frame(title, "Re(z)", "Im(z)")
+    chart = _Chart(_SQUARE_SIZE, (float(re[0]), float(re[-1])), (float(im[0]), float(im[-1])))
     dx = (re[1] - re[0]) if len(re) > 1 else 1.0
     dy = (im[1] - im[0]) if len(im) > 1 else 1.0
-    for i in range(len(im)):
-        j = 0
-        row = inside[i]
-        while j < len(re):
-            if row[j]:
-                j0 = j
-                while j < len(re) and row[j]:
-                    j += 1
-                x_left = ax.x(float(re[j0]) - dx / 2)
-                x_right = ax.x(float(re[j - 1]) + dx / 2)
-                y_top = ax.y(float(im[i]) + dy / 2)
-                y_bot = ax.y(float(im[i]) - dy / 2)
-                el.append(
-                    f'<rect x="{x_left:.1f}" y="{y_top:.1f}" width="{x_right - x_left:.1f}" '
-                    f'height="{y_bot - y_top:.1f}" fill="#1f77b4" fill-opacity="0.55"/>'
-                )
-            else:
-                j += 1
+    for i, row in enumerate(inside):
+        y_top = chart.y(float(im[i]) + dy / 2)
+        y_bot = chart.y(float(im[i]) - dy / 2)
+        # the row padded with outside cells changes value exactly at the
+        # start and one past the end of each run of inside cells
+        changes = np.flatnonzero(np.diff(np.concatenate(([False], row, [False]))))
+        for j0, j1 in changes.reshape(-1, 2):
+            x_left = chart.x(float(re[j0]) - dx / 2)
+            x_right = chart.x(float(re[j1 - 1]) + dx / 2)
+            chart.marks.append(
+                f'<rect x="{x_left:.1f}" y="{y_top:.1f}" width="{x_right - x_left:.1f}" '
+                f'height="{y_bot - y_top:.1f}" fill="#1f77b4" fill-opacity="0.55"/>'
+            )
     # axes through the origin for orientation
     if re[0] < 0 < re[-1]:
-        el.append(f'<line x1="{ax.x(0):.1f}" y1="{ax.py1}" x2="{ax.x(0):.1f}" y2="{ax.py0}" stroke="#999" stroke-dasharray="3,3"/>')
+        chart.marks.append(f'<line x1="{chart.x(0):.1f}" y1="{chart.y.p1}" x2="{chart.x(0):.1f}" y2="{chart.y.p0}" stroke="#999" stroke-dasharray="3,3"/>')
     if im[0] < 0 < im[-1]:
-        el.append(f'<line x1="{ax.px0}" y1="{ax.y(0):.1f}" x2="{ax.px1}" y2="{ax.y(0):.1f}" stroke="#999" stroke-dasharray="3,3"/>')
-    with open(path, "w") as fh:
-        fh.write(_document(size, el))
+        chart.marks.append(f'<line x1="{chart.x.p0}" y1="{chart.y(0):.1f}" x2="{chart.x.p1}" y2="{chart.y(0):.1f}" stroke="#999" stroke-dasharray="3,3"/>')
+    chart.write(path, title, "Re(z)", "Im(z)")

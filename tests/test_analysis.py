@@ -223,6 +223,11 @@ class TestStabilityDemo:
         with pytest.raises(ValueError):
             stability_demo(1.0, [0.1], t1=1.0)
 
+    @pytest.mark.parametrize("t1", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_requires_finite_positive_horizon(self, t1):
+        with pytest.raises(ValueError, match="t1"):
+            stability_demo(-15.0, [0.1], t1=t1)
+
 
 class TestParetoBenchmark:
     def test_nfe_accounting_per_method(self):

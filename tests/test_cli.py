@@ -330,6 +330,20 @@ MALFORMED_INPUT = {
         ws, model, lambda d: d["config"]["dataset"].update(noise=True)),
     "model-config-unknown-key": lambda ws, model: _model_argv(
         ws, model, lambda d: d["config"].update(extra=1)),
+    "model-meta-mean-length": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(data_mean=[0.0, 0.0, 0.0])),
+    "model-meta-std-nonpositive": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(data_std=[0.0, -1.0])),
+    "model-meta-mean-nan": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(data_mean=[float("nan"), 0.0])),
+    "model-meta-missing-epochs": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].pop("epochs")),
+    "model-meta-unknown-key": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(extra=1)),
+    "config-noise-nan": lambda ws, model: _train_argv(
+        ws, lambda d: d["dataset"].update(noise=float("nan"))),
+    "config-lr-infinity": lambda ws, model: _train_argv(
+        ws, lambda d: d["train"].update(lr=float("inf"))),
 }
 
 
@@ -338,8 +352,24 @@ class TestMalformedInput:
     def test_exit_2_with_one_line_message(self, case, trained, capsys):
         workspace, model = trained
         capsys.readouterr()
-        assert cli.main(MALFORMED_INPUT[case](workspace, model)) == 2
+        argv = MALFORMED_INPUT[case](workspace, model)
+        assert cli.main(argv) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        if argv[0] == "sample":
+            # a bad model or flag fails before the output directory is made,
+            # so no sampling work is done and no samples.csv is written
+            assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [5, "rk4", {"method": "rk4"}, {"method": "euler", "steps": 1.5}, {"steps": 4}],
+        ids=["number", "string", "missing-steps", "fractional-steps", "missing-method"],
+    )
+    def test_solver_grid_errors_name_the_entry(self, entry, workspace):
+        grid = [{"method": "rk4", "steps": 4}, entry]
+        cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=grid))
+        with pytest.raises(cli.ConfigError, match=r"^solver_grid\[1\]: "):
+            cli.load_run_config(cfg)
 
 
 COUNT_FLAGS = {
@@ -362,6 +392,28 @@ class TestCountFlags:
         assert exc_info.value.code == 2
         assert "expected an integer >= 1" in capsys.readouterr().err
         assert not (out / written).exists()
+
+
+STABILITY_FLAGS = {
+    "demo-t1-inf": ["--demo-t1", "inf"],
+    "demo-t1-nan": ["--demo-t1", "nan"],
+    "demo-t1-zero": ["--demo-t1", "0"],
+    "demo-t1-negative": ["--demo-t1", "-1"],
+    "re-reversed": ["--re-min", "3", "--re-max", "-3"],
+    "im-empty": ["--im-min", "1", "--im-max", "1"],
+    "re-min-nan": ["--re-min", "nan"],
+    "im-max-inf": ["--im-max", "inf"],
+}
+
+
+class TestStabilityFlags:
+    @pytest.mark.parametrize("case", STABILITY_FLAGS)
+    def test_rejected_before_any_file(self, case, tmp_path, capsys):
+        out = tmp_path / "stab"
+        argv = ["stability", *STABILITY_FLAGS[case], "--resolution", "21", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestSvgOutput:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmsolve.cfm import SolverSpec
+from fmsolve.cfm import SolverSpec, TrainConfig
 from fmsolve.data import DatasetSpec
 from fmsolve.nn import MlpConfig
 from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample, wasserstein2_1d
@@ -149,6 +149,21 @@ class TestFieldTypes:
     )
     def test_wrong_type_raises_value_error(self, build):
         with pytest.raises(ValueError, match="expected"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DatasetSpec("moons", noise=float("nan")),
+            lambda: TrainConfig.default(DatasetSpec("moons"), seed=0, lr=float("inf")),
+            lambda: StepControlConfig(atol=-float("inf")),
+            lambda: StepControlConfig(h_init=float("nan")),
+            lambda: SolverSpec("dopri5", rtol=np.float32("nan")),
+        ],
+        ids=["nan-noise", "inf-lr", "minus-inf-atol", "nan-optional", "numpy-nan"],
+    )
+    def test_non_finite_float_raises_value_error(self, build):
+        with pytest.raises(ValueError, match="expected a finite number"):
             build()
 
     def test_numpy_scalars_and_optional_none_accepted(self):

@@ -447,6 +447,15 @@ class TestStability:
         with pytest.raises(ValueError):
             stability_region_grid("euler", (-1, 1), (-1, 1), 1)
 
+    @pytest.mark.parametrize(
+        "re_range, im_range",
+        [((3, -3), (-1, 1)), ((-1, 1), (1, 1)), ((np.nan, 1), (-1, 1)), ((-1, 1), (-1, np.inf))],
+        ids=["reversed", "empty", "nan", "inf"],
+    )
+    def test_range_validation(self, re_range, im_range):
+        with pytest.raises(ValueError, match="must be finite with min < max"):
+            stability_region_grid("euler", re_range, im_range, 5)
+
     def test_raster_csv_exact_bytes(self, tmp_path):
         r = stability_region_grid("euler", (-2, 0), (-1, 1), (3, 2))
         path = tmp_path / "grid.csv"

@@ -1,0 +1,119 @@
+"""Byte pins for the SVG charts.
+
+Each case draws a chart from literal inputs and compares the SHA-256 of
+the written file with a literal, so any change to the markup (coordinates,
+ticks, legend, element order) shows up here.  Literal inputs keep the
+digests independent of the BLAS build.
+"""
+
+import hashlib
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from fmsolve import svg
+
+NAN = float("nan")
+
+
+def _line_log_dropped(path):
+    # nonpositive and NaN values on log axes are dropped from limits and marks
+    svg.line_chart(
+        path,
+        [
+            {"label": "a", "x": [0.0, 1e-3, 1e-2, 0.1, 1.0], "y": [1e-3, 1e-6, NAN, 1e-4, 1e-2]},
+            {"label": "b", "x": [-1.0, 2e-3, 2e-2, NAN], "y": [-2.0, 3e-5, -1e-3, NAN]},
+        ],
+        title="a < b & c", xlabel="h", ylabel="error", logx=True, logy=True,
+    )
+
+
+def _line_log_within_decade(path):
+    # no decade inside the y range: the two range ends become the ticks
+    svg.line_chart(path, [{"label": "s", "x": [1, 10, 100], "y": [2.0, 3.0, 5.0]}],
+                   logx=True, logy=True)
+
+
+def _line_all_filtered(path):
+    # nothing survives the log filter: default limits, legend entry kept
+    svg.line_chart(path, [{"label": "gone", "x": [0.0, -1.0], "y": [NAN, 0.0]}],
+                   title="empty", logx=True, logy=True)
+
+
+def _line_one_point(path):
+    # a single point has no polyline and a zero-width range on both axes
+    svg.line_chart(path, [{"label": "only", "x": [2.0], "y": [-3.0]}], xlabel="x", ylabel="y")
+
+
+def _line_no_markers_color_empty_label(path):
+    svg.line_chart(
+        path,
+        [
+            {"label": "mean", "x": [0, 1, 2, 3], "y": [0.5, -1.25, 2.0, 0.0]},
+            {"label": "", "x": [0, 1, 2, 3], "y": [1.5, 0.25, 3.0, 1.0], "color": "#aec7e8"},
+            {"label": "upper", "x": [0, 1, 2, 3], "y": [-0.5, -2.75, 1.0, -1.0],
+             "color": "#ffbb78"},
+        ],
+        title="bands", xlabel="step n", ylabel="y_n", markers=False,
+    )
+
+
+def _scatter_zero_width(path):
+    # every point on one vertical line: the x padding falls back to 0.05
+    points = np.array([[1.0, -2.0], [1.0, 0.5], [1.0, 3.25], [1.0, 1.0]])
+    svg.scatter_chart(path, points, label="euler-10", title="samples", xlabel="x0", ylabel="x1")
+
+
+def _raster_edge_runs(path):
+    # runs touching the left and right edges, an all-outside row and a full row
+    inside = np.array([
+        [True, True, False, False, True, True],
+        [False, False, False, False, False, False],
+        [False, True, True, False, True, False],
+        [True, True, True, True, True, True],
+    ])
+    raster = SimpleNamespace(re=np.linspace(-2.0, 1.0, 6), im=np.linspace(-1.5, 1.5, 4),
+                             inside=inside)
+    svg.raster_chart(path, raster, title="rk4: |R(z)| <= 1")
+
+
+CASES = {
+    "line-log-dropped": (
+        _line_log_dropped,
+        "51d64e457ad02741a8f19627e45bd2f480f25efd613179e656adf614f49331d8",
+    ),
+    "line-log-within-decade": (
+        _line_log_within_decade,
+        "67a515c63e33804c8e9e959188414572a1e17af5cc1674986345a5b202efaf53",
+    ),
+    "line-all-filtered": (
+        _line_all_filtered,
+        "e245ffec89257f061f84844f63b19fb3be07625fa3142ba73c907ea742a736e9",
+    ),
+    "line-one-point": (
+        _line_one_point,
+        "3a9a6bdf56ee20d660dfa6a28e6c93568ce8757cd2e9b9138ffeb3de6025be2b",
+    ),
+    "line-no-markers-color-empty-label": (
+        _line_no_markers_color_empty_label,
+        "9f99d5b44cf4a0813aa312dea2dbff4bfe1a7915050ed8d8766e6c034f00edde",
+    ),
+    "scatter-zero-width": (
+        _scatter_zero_width,
+        "d11125fce4a5f3929d8cca90db3e78c018907d1097ea5eca7ebc5de197e846f8",
+    ),
+    "raster-edge-runs": (
+        _raster_edge_runs,
+        "cbac9f21852daf2431f204beff54b0dd68204f2629c27e3dde778e9ab8a4abd3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_chart_bytes(case, tmp_path):
+    draw, digest = CASES[case]
+    path = tmp_path / "chart.svg"
+    draw(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
