@@ -14,11 +14,9 @@ from .ode import (
     VectorField,
     integrate_dopri5,
     integrate_fixed,
+    rk_step,
     stability_region_grid,
     stability_value,
-    step_euler,
-    step_midpoint,
-    step_rk4,
 )
 
 __version__ = "0.1.0"
@@ -35,9 +33,7 @@ __all__ = [
     "DOPRI5",
     "SolveTrace",
     "StepControlConfig",
-    "step_euler",
-    "step_midpoint",
-    "step_rk4",
+    "rk_step",
     "integrate_fixed",
     "integrate_dopri5",
     "stability_value",

@@ -11,7 +11,7 @@ import numpy as np
 from . import cfm, nn
 from .data import generate
 from .numeric import cond2x2, eig2x2, gaussian_sample
-from .ode import FIXED_STEP_METHODS, IntegrationError, VectorField, integrate_fixed, step_euler
+from .ode import EULER, IntegrationError, VectorField, integrate_fixed, rk_step
 
 __all__ = [
     "swd",
@@ -92,17 +92,15 @@ def convergence_study(problem, methods, h_list):
     """
     if len(set(h_list)) < 4:
         raise ValueError("need at least 4 distinct step sizes")
-    y0 = np.full(problem.dim, float(problem.y0))
-    exact = problem.y0 * math.exp(problem.lam * problem.t1)
     rows = []
     slopes = {}
     for method in methods:
         pairs = []
         for h in h_list:
             n = max(1, round(problem.t1 / h))
-            f = VectorField(lambda t, y: problem.lam * y)
-            y_final, _ = integrate_fixed(f, y0, 0.0, problem.t1, n, method)
-            err = float(np.max(np.abs(y_final - exact)))
+            err = _global_error(
+                problem, lambda f, y0: integrate_fixed(f, y0, 0.0, problem.t1, n, method)
+            )
             rows.append(ConvergenceRow(method=method, h=h, global_error=err))
             if err > ERROR_FLOOR:
                 pairs.append((h, err))
@@ -116,16 +114,20 @@ def dopri5_tolerance_study(problem, tol_list):
     with the tolerance in the h slot."""
     from .ode import StepControlConfig, integrate_dopri5
 
-    y0 = np.full(problem.dim, float(problem.y0))
-    exact = problem.y0 * math.exp(problem.lam * problem.t1)
     rows = []
     for tol in tol_list:
-        f = VectorField(lambda t, y: problem.lam * y)
         cfg = StepControlConfig(atol=tol, rtol=tol)
-        y_final, _ = integrate_dopri5(f, y0, 0.0, problem.t1, cfg)
-        err = float(np.max(np.abs(y_final - exact)))
+        err = _global_error(problem, lambda f, y0: integrate_dopri5(f, y0, 0.0, problem.t1, cfg))
         rows.append(ConvergenceRow(method="dopri5", h=tol, global_error=err))
     return rows
+
+
+def _global_error(problem, solve):
+    """Max-norm error at t1 of ``solve(f, y0) -> (y_final, trace)`` on the
+    decay problem, against the exact solution y0 * exp(lam * t1)."""
+    f = VectorField(lambda t, y: problem.lam * y)
+    y_final, _ = solve(f, np.full(problem.dim, float(problem.y0)))
+    return float(np.max(np.abs(y_final - problem.y0 * math.exp(problem.lam * problem.t1))))
 
 
 def fit_loglog_slope(pairs):
@@ -255,7 +257,7 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     time_grid = [float(t) for t in time_grid]
     if not time_grid or sorted(time_grid) != time_grid:
         raise ValueError("time_grid must be a non-empty ascending list")
-    if solver.method not in FIXED_STEP_METHODS:
+    if solver.adaptive:
         raise ValueError("spectrum marching uses a fixed-step solver")
     x = gaussian_sample(rng, n_samples, 2)
     rows = []
@@ -274,7 +276,7 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
         )
         if i + 1 < len(time_grid):
             t_next = time_grid[i + 1]
-            n_seg = max(1, round((solver.n_steps or 1) * (t_next - t)))
+            n_seg = max(1, round(solver.n_steps * (t_next - t)))
             f = cfm.velocity_field(model.params, n_samples, 2)
             y, _ = integrate_fixed(f, x.ravel(), t, t_next, n_seg, solver.method)
             x = y.reshape(n_samples, 2)
@@ -338,7 +340,8 @@ class DemoTrace:
 def stability_demo(lam, h_values, t1, n_report=200):
     """Euler on y' = lam * y (lam < 0) for each step size in h_values.
 
-    Integrates from y(0) = 1 for ceil(t1/h) steps, capped at n_report, and
+    Integrates from y(0) = 1 with each h (finite and > 0, else ValueError)
+    for ceil(t1/h) steps, capped at n_report, and
     flags divergence once |y_n| exceeds 1e3 * |y_0|.  Step sizes with
     |1 + h*lam| < 1 decay; past the stability boundary the iterates blow up
     geometrically.
@@ -349,12 +352,14 @@ def stability_demo(lam, h_values, t1, n_report=200):
         raise ValueError(f"demo horizon t1 must be finite and > 0, got {t1}")
     traces = []
     for h in h_values:
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"demo step sizes must be finite and > 0, got h={h}")
         n_steps = min(int(math.ceil(t1 / h - 1e-12)), int(n_report))
         f = VectorField(lambda t, y: lam * y)
         y = np.array([1.0])
         ys = [1.0]
         for n in range(n_steps):
-            y = step_euler(f, n * h, y, h)
+            y = rk_step(EULER, f, n * h, y, h)
             ys.append(float(y[0]))
         ys = np.array(ys)
         traces.append(DemoTrace(h=h, y=ys, diverged=bool(np.any(np.abs(ys) > DIVERGENCE_FACTOR))))

@@ -25,14 +25,7 @@ import numpy as np
 from . import nn
 from .data import DatasetSpec, generate
 from .numeric import Rng, check_field_types, check_keys, check_version, gaussian_sample
-from .ode import (
-    FIXED_STEP_METHODS,
-    TABLEAUS,
-    StepControlConfig,
-    VectorField,
-    integrate_dopri5,
-    integrate_fixed,
-)
+from .ode import TABLEAUS, StepControlConfig, VectorField, integrate_dopri5, integrate_fixed
 
 __all__ = [
     "TrainConfig",
@@ -114,28 +107,33 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Which solver to sample with: fixed-step methods take n_steps, dopri5
-    takes tolerances."""
+    """Which solver to sample with: fixed-step methods take n_steps, adaptive
+    ones (a tableau with an embedded pair) take tolerances."""
 
     method: str
     n_steps: int | None = None
-    atol: float = 1e-5
-    rtol: float = 1e-5
+    atol: float = StepControlConfig.atol
+    rtol: float = StepControlConfig.rtol
 
     def __post_init__(self):
         check_field_types(self)
         if self.method not in TABLEAUS:
             raise ValueError(f"unknown solver {self.method!r}")
-        if self.method in FIXED_STEP_METHODS:
-            if self.n_steps is None or self.n_steps < 1:
-                raise ValueError(f"{self.method} needs n_steps >= 1")
+        if self.adaptive:  # the config sample() will build owns the tolerance rule
+            StepControlConfig(atol=self.atol, rtol=self.rtol)
+        elif self.n_steps is None or self.n_steps < 1:
+            raise ValueError(f"{self.method} needs n_steps >= 1")
+
+    @property
+    def adaptive(self):
+        return TABLEAUS[self.method].b_star is not None
 
     @property
     def steps_label(self):
-        return "adaptive" if self.method == "dopri5" else str(self.n_steps)
+        return "adaptive" if self.adaptive else str(self.n_steps)
 
     def to_dict(self):
-        if self.method == "dopri5":
+        if self.adaptive:
             return {"method": self.method, "atol": self.atol, "rtol": self.rtol}
         return {"method": self.method, "steps": self.n_steps}
 
@@ -271,7 +269,7 @@ def sample(model, solver, n, rng):
     d = model.data_dim
     z0 = gaussian_sample(rng, n, d).ravel()
     f = velocity_field(model.params, n, d)
-    if solver.method == "dopri5":
+    if solver.adaptive:
         cfg = StepControlConfig(atol=solver.atol, rtol=solver.rtol)
         z1, trace = integrate_dopri5(f, z0, 0.0, 1.0, cfg)
     else:

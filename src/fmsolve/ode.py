@@ -29,9 +29,7 @@ __all__ = [
     "StepRecord",
     "SolveTrace",
     "StepControlConfig",
-    "step_euler",
-    "step_midpoint",
-    "step_rk4",
+    "rk_step",
     "integrate_fixed",
     "error_norm",
     "propose_step",
@@ -194,23 +192,22 @@ def _rk_stages(tab, f, t, y, h, k1=None, step_index=None):
     return k
 
 
-def _rk_step(tab, f, t, y, h, step_index=None):
+def rk_step(tab, f, t, y, h, step_index=None):
+    """One step y + h sum_i b_i k_i of the method with tableau ``tab``.
+
+    Costs one field evaluation per stage (1 for Euler, 2 for midpoint, 4
+    for RK4); ``step_index`` only labels a non-finite-stage failure.
+    """
     return y + h * _weighted_sum(tab.b, _rk_stages(tab, f, t, y, h, step_index=step_index))
 
 
-def step_euler(f, t, y, h):
-    """One forward Euler step: y + h*f(t, y).  One field evaluation."""
-    return _rk_step(EULER, f, t, y, h)
-
-
-def step_midpoint(f, t, y, h):
-    """One explicit midpoint step.  Two field evaluations."""
-    return _rk_step(MIDPOINT, f, t, y, h)
-
-
-def step_rk4(f, t, y, h):
-    """One classical RK4 step.  Four field evaluations."""
-    return _rk_step(RK4, f, t, y, h)
+def _check_state(y, t, h, step_index):
+    # the state after a step can overflow even when every stage was finite
+    if not np.all(np.isfinite(y)):
+        raise IntegrationError(
+            f"state became non-finite at step {step_index} (t={t})", t=t, y=y, h=h,
+            step_index=step_index,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +276,8 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
     trace = SolveTrace()
     for n in range(n_steps):
         t = t0 + n * h
-        y = _rk_step(tab, f, t, y, h, step_index=n)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(
-                f"state became non-finite at step {n} (t={t})", t=t, y=y, h=h, step_index=n
-            )
+        y = rk_step(tab, f, t, y, h, step_index=n)
+        _check_state(y, t, h, n)
         trace.steps.append(StepRecord(t=t, h=h, err=None, accepted=True, nfe_cum=f.nfe - nfe0))
     trace.nfe_total = f.nfe - nfe0
     return y, trace
@@ -314,12 +308,14 @@ class StepControlConfig:
 
 
 # Step-size controller: the next step is
-# h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err^(-1/6))), with err the scaled
-# error norm of the attempt; the standard values of Hairer, Norsett & Wanner,
-# Solving ODEs I, II.4.
+# h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err^(-ORDER_EXPONENT))), with err
+# the scaled error norm of the attempt; the standard values of Hairer, Norsett
+# & Wanner, Solving ODEs I, II.4.  ORDER_EXPONENT = 1/(5+1) matches the order-5
+# propagated solution, and the starting-step heuristic uses it too.
 SAFETY = 0.9
 ALPHA_MIN = 0.2
 ALPHA_MAX = 5.0
+ORDER_EXPONENT = 1.0 / 6.0
 
 
 # Smallest step relative to |t| the adaptive loop attempts.  Below it t + h
@@ -348,7 +344,7 @@ def propose_step(h, err):
     """
     if err == 0.0:
         return h * ALPHA_MAX
-    return h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err ** (-1.0 / 6.0)))
+    return h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err ** -ORDER_EXPONENT))
 
 
 def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
@@ -358,9 +354,9 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
     here unless the caller passes it), d0 = ||y0|| and d1 = ||f0|| in the
     tolerance-scaled RMS norm, a first guess h0 = 0.01 * d0 / d1 is refined
     by one trial Euler step: with d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the
-    guess becomes h = min(100*h0, (0.01 / max(d1, d2))^(1/6)), the exponent
-    matching the order-5 propagating solution.  An (almost) flat field makes
-    the guess infinite; the result is always clipped to the interval length.
+    guess becomes h = min(100*h0, (0.01 / max(d1, d2))^ORDER_EXPONENT).  An
+    (almost) flat field makes the guess infinite; the result is always
+    clipped to the interval length.
     The trial costs one field evaluation unless the flat-field shortcut
     triggers.
     """
@@ -382,7 +378,7 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
     dmax = max(d1, d2)
     if dmax <= 1e-15:
         return span
-    h1 = (0.01 / dmax) ** (1.0 / 6.0)
+    h1 = (0.01 / dmax) ** ORDER_EXPONENT
     return min(100.0 * h0, h1, span)
 
 
@@ -402,8 +398,9 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     The final step is clipped to land on t1 exactly.  After a rejection the
     growth factor is capped at 1 until the next acceptance, which damps
     accept/reject oscillation.  Raises :class:`IntegrationError` when
-    cfg.max_steps attempts are exhausted, a stage goes non-finite, or the
-    step size underflows (h < 16*eps*|t|, as near a finite-time blow-up).
+    cfg.max_steps attempts are exhausted, a stage or the proposed state goes
+    non-finite (the latter as "state became non-finite", like
+    :func:`integrate_fixed`), or the step size underflows (h < 16*eps*|t|, as near a finite-time blow-up).
 
     Returns ``(y_final, SolveTrace)``; the trace records every attempt,
     rejections included.
@@ -437,7 +434,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
         k = _rk_stages(DOPRI5, f, t, y, h, k1=k1, step_index=attempt)
         y5 = y + h * _weighted_sum(DOPRI5.b, k)
         e = h * _weighted_sum(db, k)
-        _check_finite(y5, t, y, h, attempt)
+        _check_state(y5, t, h, attempt)
         err = error_norm(e, y, y5, cfg.atol, cfg.rtol)
         accepted = err <= 1.0
         trace.steps.append(

@@ -8,6 +8,9 @@ from fmsolve.ode import (
     ALPHA_MAX,
     ALPHA_MIN,
     DOPRI5,
+    EULER,
+    MIDPOINT,
+    RK4,
     SAFETY,
     TABLEAUS,
     IntegrationError,
@@ -18,11 +21,9 @@ from fmsolve.ode import (
     integrate_dopri5,
     integrate_fixed,
     propose_step,
+    rk_step,
     stability_region_grid,
     stability_value,
-    step_euler,
-    step_midpoint,
-    step_rk4,
 )
 
 ONE = np.array([1.0])
@@ -35,51 +36,51 @@ def decay_field(lam=-1.0):
 class TestSingleSteps:
     def test_euler_decay(self):
         f = decay_field()
-        assert step_euler(f, 0.0, ONE, 0.5) == pytest.approx([0.5])
+        assert rk_step(EULER, f, 0.0, ONE, 0.5) == pytest.approx([0.5])
         assert f.nfe == 1
 
     def test_euler_constant_solution(self):
         f = VectorField(lambda t, y: 0.0 * y)
         for h in (0.1, 2.0, -0.5):
-            assert step_euler(f, 0.0, np.array([3.0, -1.0]), h) == pytest.approx([3.0, -1.0])
+            assert rk_step(EULER, f, 0.0, np.array([3.0, -1.0]), h) == pytest.approx([3.0, -1.0])
 
     def test_euler_stiff_input(self):
         f = decay_field(-15.0)
-        assert step_euler(f, 0.0, ONE, 0.1) == pytest.approx([-0.5])
+        assert rk_step(EULER, f, 0.0, ONE, 0.1) == pytest.approx([-0.5])
 
     def test_midpoint_decay(self):
         # hand evaluation: k1 = -1, k2 = -(1 - 0.25) = -0.75, y = 1 - 0.375
         f = decay_field()
-        assert step_midpoint(f, 0.0, ONE, 0.5) == pytest.approx([0.625])
+        assert rk_step(MIDPOINT, f, 0.0, ONE, 0.5) == pytest.approx([0.625])
         assert f.nfe == 2
 
     def test_midpoint_exact_on_constants(self):
         f = VectorField(lambda t, y: np.full_like(y, 2.5))
-        assert step_midpoint(f, 0.0, ONE, 0.3) == pytest.approx([1.75])
+        assert rk_step(MIDPOINT, f, 0.0, ONE, 0.3) == pytest.approx([1.75])
 
     def test_midpoint_exact_on_linear_time(self):
         f = VectorField(lambda t, y: np.full_like(y, t))
-        assert step_midpoint(f, 0.0, np.array([0.0]), 1.0) == pytest.approx([0.5])
+        assert rk_step(MIDPOINT, f, 0.0, np.array([0.0]), 1.0) == pytest.approx([0.5])
 
     def test_rk4_decay_matches_stability_polynomial(self):
         f = decay_field()
         expected = stability_value("rk4", -0.1).real  # 0.9048375 exactly
         assert expected == pytest.approx(0.9048375, abs=1e-15)
-        assert step_rk4(f, 0.0, ONE, 0.1) == pytest.approx([expected], rel=1e-15)
+        assert rk_step(RK4, f, 0.0, ONE, 0.1) == pytest.approx([expected], rel=1e-15)
         assert f.nfe == 4
 
     def test_rk4_exact_on_cubic(self):
         f = VectorField(lambda t, y: np.full_like(y, t**3))
-        assert step_rk4(f, 0.0, np.array([0.0]), 1.0) == pytest.approx([0.25])
+        assert rk_step(RK4, f, 0.0, np.array([0.0]), 1.0) == pytest.approx([0.25])
 
     def test_rk4_zero_field(self):
         f = VectorField(lambda t, y: 0.0 * y)
-        assert step_rk4(f, 0.0, np.array([7.0]), 0.4) == pytest.approx([7.0])
+        assert rk_step(RK4, f, 0.0, np.array([7.0]), 0.4) == pytest.approx([7.0])
 
     def test_non_finite_output_raises_with_context(self):
         f = VectorField(lambda t, y: y * np.nan)
         with pytest.raises(IntegrationError) as exc_info:
-            step_euler(f, 0.25, ONE, 0.1)
+            rk_step(EULER, f, 0.25, ONE, 0.1)
         assert exc_info.value.t == 0.25
 
     def test_field_cannot_mutate_state(self):
