@@ -98,9 +98,7 @@ def convergence_study(problem, methods, h_list):
         pairs = []
         for h in h_list:
             n = max(1, round(problem.t1 / h))
-            err = _global_error(
-                problem, lambda f, y0: integrate_fixed(f, y0, 0.0, problem.t1, n, method)
-            )
+            err = _global_error(problem, integrate_fixed, n, method)
             rows.append(ConvergenceRow(method=method, h=h, global_error=err))
             if err > ERROR_FLOOR:
                 pairs.append((h, err))
@@ -116,17 +114,16 @@ def dopri5_tolerance_study(problem, tol_list):
 
     rows = []
     for tol in tol_list:
-        cfg = StepControlConfig(atol=tol, rtol=tol)
-        err = _global_error(problem, lambda f, y0: integrate_dopri5(f, y0, 0.0, problem.t1, cfg))
+        err = _global_error(problem, integrate_dopri5, StepControlConfig(atol=tol, rtol=tol))
         rows.append(ConvergenceRow(method="dopri5", h=tol, global_error=err))
     return rows
 
 
-def _global_error(problem, solve):
-    """Max-norm error at t1 of ``solve(f, y0) -> (y_final, trace)`` on the
-    decay problem, against the exact solution y0 * exp(lam * t1)."""
+def _global_error(problem, integrate, *args):
+    """Max-norm error of ``integrate(f, y0, 0, t1, *args)`` on the decay
+    problem, against the exact solution y0 * exp(lam * t1)."""
     f = VectorField(lambda t, y: problem.lam * y)
-    y_final, _ = solve(f, np.full(problem.dim, float(problem.y0)))
+    y_final, _ = integrate(f, np.full(problem.dim, float(problem.y0)), 0.0, problem.t1, *args)
     return float(np.max(np.abs(y_final - problem.y0 * math.exp(problem.lam * problem.t1))))
 
 

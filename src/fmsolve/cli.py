@@ -255,9 +255,9 @@ def _write_pareto(out, name, rows):
 
 
 def cmd_benchmark(args):
-    out = _ensure_dir(args.out)
     tc, grid = load_run_config(args.config) if args.config else (None, None)
     grid = grid or _default_grid()
+    out = _ensure_dir(args.out)
     if args.hidden:
         if tc is None:
             raise ConfigError("--hidden sweep needs --config with dataset/train settings")

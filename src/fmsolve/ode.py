@@ -204,10 +204,8 @@ def rk_step(tab, f, t, y, h, step_index=None):
 def _check_state(y, t, h, step_index):
     # the state after a step can overflow even when every stage was finite
     if not np.all(np.isfinite(y)):
-        raise IntegrationError(
-            f"state became non-finite at step {step_index} (t={t})", t=t, y=y, h=h,
-            step_index=step_index,
-        )
+        msg = f"state became non-finite at step {step_index} (t={t})"
+        raise IntegrationError(msg, t=t, y=y, h=h, step_index=step_index)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,11 @@ class TestStabilityDemo:
         with pytest.raises(ValueError, match="t1"):
             stability_demo(-15.0, [0.1], t1=t1)
 
+    @pytest.mark.parametrize("h", [0.0, float("nan"), -0.1, float("inf")])
+    def test_requires_finite_positive_steps(self, h):
+        with pytest.raises(ValueError, match="step sizes"):
+            stability_demo(-15.0, [0.1, h], t1=1.0)
+
 
 class TestParetoBenchmark:
     def test_nfe_accounting_per_method(self):

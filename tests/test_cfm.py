@@ -145,6 +145,23 @@ class TestSample:
         with pytest.raises(ValueError, match="does not take"):
             cfm.SolverSpec.from_dict({**d, bad_key: 20})
 
+    @pytest.mark.parametrize("tols", [{"atol": -1.0}, {"rtol": 0.0}, {"atol": 0.0, "rtol": 0.0}])
+    def test_adaptive_spec_rejects_nonpositive_tolerances(self, tols):
+        # checked when the spec is built, not when sampling starts
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            cfm.SolverSpec("dopri5", **tols)
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            cfm.SolverSpec.from_dict({"method": "dopri5", **tols})
+
+    def test_adaptive_follows_the_tableau(self):
+        from fmsolve.ode import TABLEAUS, StepControlConfig
+
+        for method, tab in TABLEAUS.items():
+            spec = cfm.SolverSpec(method, 10)
+            assert spec.adaptive == (tab.b_star is not None)
+        spec = cfm.SolverSpec("dopri5")
+        assert (spec.atol, spec.rtol) == (StepControlConfig.atol, StepControlConfig.rtol)
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -200,6 +200,18 @@ class TestBenchmarkCmd:
         assert (out / "pareto_hidden4.csv").exists()
         assert (out / "pareto_hidden8.csv").exists()
 
+    def test_hidden_sweep_bad_grid_trains_nothing(self, workspace, capsys):
+        cfg = _edited(TINY_CONFIG, workspace / "sweep.json",
+                      lambda d: d.update(solver_grid=[{"method": "dopri5", "atol": 0.0}]))
+        out = workspace / "ablate"
+        code = cli.main(["benchmark", "--config", cfg, "--hidden", "4,8",
+                         "--n", "32", "--projections", "8", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "training" not in captured.out
+        assert "solver_grid[0]" in captured.err
+        assert not out.exists()
+
     def test_needs_model_or_sweep(self, workspace):
         assert cli.main(["benchmark", "--out", str(workspace / "x")]) == 2
 
@@ -313,6 +325,10 @@ MALFORMED_INPUT = {
         "--solver", "dopri5", "--steps", "10", "--out", str(ws / "out")],
     "atol-flag-for-rk4": lambda ws, model: ["sample", "--model", str(model),
         "--solver", "rk4", "--steps", "2", "--atol", "0.5", "--out", str(ws / "out")],
+    "atol-flag-nonpositive": lambda ws, model: ["sample", "--model", str(model),
+        "--solver", "dopri5", "--atol", "-1", "--out", str(ws / "out")],
+    "grid-atol-zero": lambda ws, model: _benchmark_argv(
+        ws, model, {"method": "dopri5", "atol": 0.0, "rtol": 1e-4}),
     "config-output-dir": lambda ws, model: _train_argv(
         ws, lambda d: d.update(output_dir="/nonexistent/where")),
     "fractional-seed": lambda ws, model: _train_argv(ws, lambda d: d.update(seed=1.7)),
@@ -355,9 +371,9 @@ class TestMalformedInput:
         argv = MALFORMED_INPUT[case](workspace, model)
         assert cli.main(argv) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        if argv[0] == "sample":
-            # a bad model or flag fails before the output directory is made,
-            # so no sampling work is done and no samples.csv is written
+        if argv[0] in ("sample", "benchmark"):
+            # a bad model, flag or solver grid fails before the output
+            # directory is made, so no sampling work is done and nothing written
             assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize(

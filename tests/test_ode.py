@@ -372,6 +372,17 @@ class TestDopri5:
         with pytest.raises(IntegrationError):
             integrate_dopri5(f, ONE, 0.0, 1.0, self.CFG)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_state_overflow_names_the_state(self):
+        # every field output is finite; only y + h * sum(b_i k_i) overflows,
+        # and both integrators say so in the same words
+        big = np.array([1.5e308])
+        f = VectorField(lambda t, y: np.full_like(y, 1.5e308))
+        with pytest.raises(IntegrationError, match=r"^state became non-finite at step 0 \(t=0\.0\)"):
+            integrate_dopri5(f, big, 0.0, 1.0, StepControlConfig(h_init=0.5))
+        with pytest.raises(IntegrationError, match=r"^state became non-finite at step 0 \(t=0\.0\)"):
+            integrate_fixed(f, big, 0.0, 1.0, 2, "euler")
+
     def test_affine_equivariance(self):
         # shift-independent control settings: an explicit h_init and an
         # atol-dominated norm, since rtol scales with |y| and would otherwise
