@@ -47,8 +47,12 @@ def _ticks_linear(lo, hi, target=5):
 
 
 def _ticks_log(lo, hi):
+    """(log10 position, label) ticks of a log axis spanning 10^lo..10^hi:
+    its decades, or linear ticks of the values when it spans no decade."""
     ticks = [e for e in range(math.floor(lo), math.ceil(hi) + 1) if lo - 1e-9 <= e <= hi + 1e-9]
-    return ticks or [lo, hi]
+    if ticks:
+        return [(e, f"1e{e}") for e in ticks]
+    return [(math.log10(v), _fmt(v)) for v in _ticks_linear(10.0 ** (lo - 1e-9), 10.0 ** (hi + 1e-9))]
 
 
 class _Scale:
@@ -71,12 +75,10 @@ class _Scale:
         return self._pixel(math.log10(v) if self.log else v)
 
     def ticks(self):
-        ticks = _ticks_log(self.lo, self.hi) if self.log else _ticks_linear(self.lo, self.hi)
-        return [
-            self.tick_markup.format(p=self._pixel(t), q=self._pixel(t) + 3,
-                                    label=f"1e{t:g}" if self.log else _fmt(t))
-            for t in ticks
-        ]
+        ticks = (_ticks_log(self.lo, self.hi) if self.log
+                 else [(t, _fmt(t)) for t in _ticks_linear(self.lo, self.hi)])
+        return [self.tick_markup.format(p=self._pixel(u), q=self._pixel(u) + 3, label=label)
+                for u, label in ticks]
 
 
 class _Chart:
@@ -177,9 +179,11 @@ def scatter_chart(path, points, label="", title="", xlabel="", ylabel=""):
 def raster_chart(path, raster, title=""):
     """Filled stability region: cells with |R| <= 1, drawn as merged row runs."""
     re, im, inside = raster.re, raster.im, raster.inside
-    chart = _Chart(_SQUARE_SIZE, (float(re[0]), float(re[-1])), (float(im[0]), float(im[-1])))
     dx = (re[1] - re[0]) if len(re) > 1 else 1.0
     dy = (im[1] - im[0]) if len(im) > 1 else 1.0
+    # the limits sit on the outer cell edges, so border cells stay in the frame
+    chart = _Chart(_SQUARE_SIZE, (float(re[0] - dx / 2), float(re[-1] + dx / 2)),
+                   (float(im[0] - dy / 2), float(im[-1] + dy / 2)))
     for i, row in enumerate(inside):
         y_top = chart.y(float(im[i]) + dy / 2)
         y_bot = chart.y(float(im[i]) - dy / 2)

@@ -31,7 +31,7 @@ def _line_log_dropped(path):
 
 
 def _line_log_within_decade(path):
-    # no decade inside the y range: the two range ends become the ticks
+    # no decade inside the y range: linear ticks 2, 3, 4, 5 placed on the log scale
     svg.line_chart(path, [{"label": "s", "x": [1, 10, 100], "y": [2.0, 3.0, 5.0]}],
                    logx=True, logy=True)
 
@@ -67,7 +67,8 @@ def _scatter_zero_width(path):
 
 
 def _raster_edge_runs(path):
-    # runs touching the left and right edges, an all-outside row and a full row
+    # runs touching the left and right edges, an all-outside row and a full row;
+    # the axis limits sit on the outer cell edges, so every run stays in the frame
     inside = np.array([
         [True, True, False, False, True, True],
         [False, False, False, False, False, False],
@@ -86,7 +87,7 @@ CASES = {
     ),
     "line-log-within-decade": (
         _line_log_within_decade,
-        "67a515c63e33804c8e9e959188414572a1e17af5cc1674986345a5b202efaf53",
+        "ec5933a4a7bdaa7b6bd7b0c1639892b46b78a2b2b938fa26a49e5b0a92d754b8",
     ),
     "line-all-filtered": (
         _line_all_filtered,
@@ -106,7 +107,7 @@ CASES = {
     ),
     "raster-edge-runs": (
         _raster_edge_runs,
-        "cbac9f21852daf2431f204beff54b0dd68204f2629c27e3dde778e9ab8a4abd3",
+        "ddbcd8325125e951a47cb8692582e7ebf954fe8e4d1e0da0001a47a376c315c4",
     ),
 }
 
