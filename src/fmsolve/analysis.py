@@ -337,11 +337,10 @@ class DemoTrace:
 def stability_demo(lam, h_values, t1, n_report=200):
     """Euler on y' = lam * y (lam < 0) for each step size in h_values.
 
-    Integrates from y(0) = 1 with each h (finite and > 0, else ValueError)
-    for ceil(t1/h) steps, capped at n_report, and
+    Integrates from y(0) = 1 for ceil(t1/h) steps, capped at n_report, and
     flags divergence once |y_n| exceeds 1e3 * |y_0|.  Step sizes with
     |1 + h*lam| < 1 decay; past the stability boundary the iterates blow up
-    geometrically.
+    geometrically.  Every h, like t1, must be finite and > 0 (ValueError).
     """
     if lam >= 0:
         raise ValueError("demo expects a decaying field (lam < 0)")

@@ -396,9 +396,10 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     The final step is clipped to land on t1 exactly.  After a rejection the
     growth factor is capped at 1 until the next acceptance, which damps
     accept/reject oscillation.  Raises :class:`IntegrationError` when
-    cfg.max_steps attempts are exhausted, a stage or the proposed state goes
-    non-finite (the latter as "state became non-finite", like
-    :func:`integrate_fixed`), or the step size underflows (h < 16*eps*|t|, as near a finite-time blow-up).
+    cfg.max_steps attempts are exhausted, a stage goes non-finite, the
+    proposed state goes non-finite ("state became non-finite", as in
+    :func:`integrate_fixed`), or the step size underflows (h < 16*eps*|t|,
+    as near a finite-time blow-up).
 
     Returns ``(y_final, SolveTrace)``; the trace records every attempt,
     rejections included.

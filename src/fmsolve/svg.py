@@ -52,7 +52,8 @@ def _ticks_log(lo, hi):
     ticks = [e for e in range(math.floor(lo), math.ceil(hi) + 1) if lo - 1e-9 <= e <= hi + 1e-9]
     if ticks:
         return [(e, f"1e{e}") for e in ticks]
-    return [(math.log10(v), _fmt(v)) for v in _ticks_linear(10.0 ** (lo - 1e-9), 10.0 ** (hi + 1e-9))]
+    values = _ticks_linear(10.0 ** (lo - 1e-9), 10.0 ** (hi + 1e-9))
+    return [(math.log10(v), _fmt(v)) for v in values]
 
 
 class _Scale:
