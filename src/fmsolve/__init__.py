@@ -4,7 +4,7 @@ regions, NFE/SWD benchmarks, Jacobian spectra and adaptive step traces."""
 
 from .cfm import SolverSpec, TrainConfig, TrainedModel, load_model, sample, save_model, train
 from .data import DatasetSpec, generate
-from .numeric import Rng, cond2x2, eig2x2, gaussian_sample, wasserstein2_1d
+from .numeric import Rng, cond2x2, eig2x2, gaussian_sample
 from .ode import (
     DOPRI5,
     ButcherTableau,
@@ -26,7 +26,6 @@ __all__ = [
     "gaussian_sample",
     "eig2x2",
     "cond2x2",
-    "wasserstein2_1d",
     "VectorField",
     "IntegrationError",
     "ButcherTableau",

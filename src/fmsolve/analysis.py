@@ -4,7 +4,7 @@ classic Euler blow-up demonstration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,9 +155,9 @@ class ParetoRow:
     swd: float
 
 
-def pareto_benchmark(model, dataset_spec, grid, n_samples, n_projections, rng):
+def pareto_benchmark(model, grid, n_samples, n_projections, rng):
     """One (NFE, SWD) row per solver spec, measured against a fresh draw of
-    the dataset.
+    ``n_samples`` points from the model's training dataset (substream 1).
 
     Common random numbers: every spec integrates the same Gaussian starts
     (substream 2 of ``rng``) and is scored on the same projections
@@ -165,10 +165,7 @@ def pareto_benchmark(model, dataset_spec, grid, n_samples, n_projections, rng):
     A failing solver run does not abort the grid: the offending spec is
     reported in the second return value together with its error.
     """
-    reference = generate(
-        type(dataset_spec)(**{**dataset_spec.to_dict(), "n": n_samples}),
-        rng.stream_rng(1),
-    )
+    reference = generate(replace(model.config.dataset, n=n_samples), rng.stream_rng(1))
     rows = []
     failures = []
     for spec in grid:
@@ -257,6 +254,7 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     if solver.adaptive:
         raise ValueError("spectrum marching uses a fixed-step solver")
     x = gaussian_sample(rng, n_samples, 2)
+    f = cfm.velocity_field(model.params)
     rows = []
     for i, t in enumerate(time_grid):
         jac = _jacobians_batched(model.params, x, t)
@@ -274,9 +272,7 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
         if i + 1 < len(time_grid):
             t_next = time_grid[i + 1]
             n_seg = max(1, round(solver.n_steps * (t_next - t)))
-            f = cfm.velocity_field(model.params, n_samples, 2)
-            y, _ = integrate_fixed(f, x.ravel(), t, t_next, n_seg, solver.method)
-            x = y.reshape(n_samples, 2)
+            x, _ = integrate_fixed(f, x, t, t_next, n_seg, solver.method)
     return rows
 
 

@@ -3,8 +3,8 @@
 Training regresses the network onto the constant velocity u = x1 - x0 of
 the straight interpolation x_t = (1-t) x0 + t x1 between Gaussian noise
 and data.  Sampling integrates the learned field from t=0 to t=1 with any
-of the solvers in :mod:`fmsolve.ode`; the whole sample batch is packed
-into one flat state so each solver stage costs exactly one network call,
+of the solvers in :mod:`fmsolve.ode`; the solver state is the (n, d)
+sample batch itself, so each solver stage costs exactly one network call,
 which is what the NFE counter measures.
 
 Data is standardized to zero mean and unit per-axis variance before
@@ -33,7 +33,6 @@ __all__ = [
     "SolverSpec",
     "TrainedModel",
     "TrainingError",
-    "make_batch",
     "train",
     "sample",
     "velocity_field",
@@ -163,7 +162,8 @@ class CfmBatch:
 
 def _pairs(x1, rng):
     """Interpolation batch for given data rows: draw noise and times, build
-    x_t = (1-t) x0 + t x1 and u_t = x1 - x0."""
+    x_t = (1-t) x0 + t x1 and u_t = x1 - x0.  Pairing is independent: no
+    minibatch coupling between x0 and x1."""
     n, d = x1.shape
     x0 = gaussian_sample(rng, n, d)
     t = rng.uniform(size=n)
@@ -171,17 +171,6 @@ def _pairs(x1, rng):
     x_t = (1.0 - tt) * x0 + tt * x1
     u_t = x1 - x0
     return CfmBatch(x0=x0, x1=x1, t=t, x_t=x_t, u_t=u_t)
-
-
-def make_batch(data, rng, batch_size):
-    """CFM batch with x1 drawn uniformly (with replacement) from the rows of
-    ``data``, an already standardized point array.  Pairing is independent:
-    no minibatch coupling between x0 and x1."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    data = np.asarray(data, dtype=float)
-    idx = rng.integers(0, data.shape[0], size=batch_size)
-    return _pairs(data[idx], rng)
 
 
 @dataclass
@@ -247,14 +236,10 @@ def train(config):
     )
 
 
-def velocity_field(params, n, d):
-    """The learned field as a batched :class:`VectorField`: the flat state
-    packs n trajectories, one network call evaluates all of them."""
-
-    def f(t, y):
-        return nn.forward(params, y.reshape(n, d), t).ravel()
-
-    return VectorField(f)
+def velocity_field(params):
+    """The learned field as a :class:`VectorField` on an (n, d) batch of
+    states: one network call evaluates all n trajectories."""
+    return VectorField(lambda t, x: nn.forward(params, x, t))
 
 
 def sample(model, solver, n, rng):
@@ -266,15 +251,14 @@ def sample(model, solver, n, rng):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = model.data_dim
-    z0 = gaussian_sample(rng, n, d).ravel()
-    f = velocity_field(model.params, n, d)
+    z0 = gaussian_sample(rng, n, model.data_dim)
+    f = velocity_field(model.params)
     if solver.adaptive:
         cfg = StepControlConfig(atol=solver.atol, rtol=solver.rtol)
         z1, trace = integrate_dopri5(f, z0, 0.0, 1.0, cfg)
     else:
         z1, trace = integrate_fixed(f, z0, 0.0, 1.0, solver.n_steps, solver.method)
-    points = z1.reshape(n, d) * model.data_std + model.data_mean
+    points = z1 * model.data_std + model.data_mean
     return points, trace
 
 

@@ -235,9 +235,7 @@ def cmd_sample(args):
 
 
 def _benchmark_one(model, grid, args, rng):
-    rows, failures = analysis.pareto_benchmark(
-        model, model.config.dataset, grid, args.n, args.projections, rng
-    )
+    rows, failures = analysis.pareto_benchmark(model, grid, args.n, args.projections, rng)
     rows.sort(key=lambda r: r.nfe)
     for spec, exc in failures:
         print(f"warning: {spec.method}-{spec.steps_label} failed: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ __all__ = [
     "loss_and_grad",
     "adam_update",
     "init_params",
-    "parameter_count",
     "params_to_arrays",
     "params_from_arrays",
 ]
@@ -131,13 +130,6 @@ class MlpParams:
         if not np.isfinite(self.flat).all():
             name = next(name for name, arr in self._named if not np.isfinite(arr).all())
             raise ValueError(f"non-finite values in parameter tensor {name!r}")
-
-
-def parameter_count(params_or_config):
-    """Total number of scalar parameters."""
-    if isinstance(params_or_config, MlpConfig):
-        return sum(math.prod(shape) for _, shape in _tensor_shapes(params_or_config))
-    return params_or_config.flat.size
 
 
 # ---------------------------------------------------------------------------

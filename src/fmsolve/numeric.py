@@ -23,7 +23,6 @@ __all__ = [
     "gaussian_sample",
     "eig2x2",
     "cond2x2",
-    "wasserstein2_1d",
     "write_csv",
     "check_field_types",
     "check_keys",
@@ -131,22 +130,6 @@ def cond2x2(m):
     if m.ndim == 2:
         return float(cond)
     return cond
-
-
-def wasserstein2_1d(a, b):
-    """W2 distance between two equal-weight 1D empirical measures.
-
-    Root mean squared difference of the sorted order statistics.  The
-    inputs need not be sorted; lengths must match.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError(f"sample sizes differ: {a.size} != {b.size}")
-    if a.size == 0:
-        raise ValueError("need at least one sample")
-    diff = np.sort(a) - np.sort(b)
-    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def write_csv(path, header, rows):

@@ -5,9 +5,10 @@ Four methods are provided: forward Euler (order 1), explicit midpoint
 embedded pair.  Each method is only its Butcher tableau in
 :data:`TABLEAUS`: one stage loop runs all of them, and their stability
 polynomials come from the same coefficients, so a new explicit
-fixed-step method is one more tableau.  All state is flat float64 arrays;
-the right-hand side is wrapped in a :class:`VectorField` whose evaluation
-counter gives the NFE cost metric used throughout the benchmarks.
+fixed-step method is one more tableau.  States are float64 arrays of any
+shape (the sampler's is the (n, d) batch); the right-hand side is wrapped
+in a :class:`VectorField` whose evaluation counter gives the NFE cost
+metric used throughout the benchmarks.
 """
 
 from dataclasses import dataclass, field
@@ -252,8 +253,8 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
     Parameters
     ----------
     f : VectorField
-    y0 : array_like, initial state (flattened to 1D internally is not done;
-        any shape broadcastable under ``y + h*k`` works, 1D is canonical)
+    y0 : array_like, initial state of any shape; f returns slopes of the
+        same shape
     n_steps : number of equal steps, >= 1
     method : one of :data:`FIXED_STEP_METHODS`
 

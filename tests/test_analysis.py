@@ -66,6 +66,42 @@ class TestSwd:
             swd(np.zeros((3, 2)), np.zeros((4, 2)), 10, Rng(0))
 
 
+def w2_1d(a, b):
+    # one column: every unit direction is +-1, so each slice is the plain 1D
+    # W2, the root mean squared difference of the sorted samples
+    return swd(np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None], 4, Rng(0))
+
+
+class TestSwdOneColumn:
+    def test_identical_is_zero(self):
+        a = [3.0, -1.0, 0.5]
+        assert w2_1d(a, a) == 0.0
+
+    def test_pure_shift(self):
+        assert w2_1d([0.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
+
+    def test_sorted_difference_formula(self):
+        # direct evaluation: diffs (0-0, 0-2) -> sqrt((0+4)/2)
+        assert w2_1d([0.0, 0.0], [0.0, 2.0]) == pytest.approx(np.sqrt(2.0))
+
+    def test_unsorted_input_allowed(self):
+        assert w2_1d([1.0, 0.0], [2.0, 1.0]) == pytest.approx(1.0)
+
+    def test_symmetry_and_triangle(self):
+        rng = Rng(9)
+        for _ in range(100):
+            a = rng.normal(size=20)
+            b = rng.normal(size=20) * 2.0
+            c = rng.normal(size=20) + 1.0
+            dab = w2_1d(a, b)
+            assert dab == pytest.approx(w2_1d(b, a), rel=1e-9, abs=1e-15)
+            assert dab <= w2_1d(a, c) + w2_1d(c, b) + 1e-9
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            w2_1d([0.0], [0.0, 1.0])
+
+
 class TestSlopeFit:
     def test_linear_errors(self):
         pairs = [(h, 3.0 * h) for h in (0.1, 0.05, 0.02, 0.01)]
@@ -238,7 +274,7 @@ class TestParetoBenchmark:
     def test_nfe_accounting_per_method(self):
         model = tiny_model(epochs=2)
         grid = [cfm.SolverSpec("euler", 10), cfm.SolverSpec("rk4", 10), cfm.SolverSpec("dopri5")]
-        rows, failures = pareto_benchmark(model, model.config.dataset, grid, 64, 32, Rng(5))
+        rows, failures = pareto_benchmark(model, grid, 64, 32, Rng(5))
         assert not failures
         by_method = {r.method: r for r in rows}
         assert by_method["euler"].nfe == 10
@@ -253,7 +289,7 @@ class TestParetoBenchmark:
         model = tiny_model(epochs=2)
         euler = cfm.SolverSpec("euler", 10)
         grid = [euler, cfm.SolverSpec("rk4", 10), euler]
-        rows, _ = pareto_benchmark(model, model.config.dataset, grid, 64, 32, Rng(5))
+        rows, _ = pareto_benchmark(model, grid, 64, 32, Rng(5))
         assert rows[0] == rows[2]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -266,6 +302,6 @@ class TestParetoBenchmark:
         model.params.w_in[...] = broken.params.w_in
         model.params.w_out[...] = broken.params.w_out
         grid = [cfm.SolverSpec("euler", 5)]
-        rows, failures = pareto_benchmark(model, model.config.dataset, grid, 16, 8, Rng(6))
+        rows, failures = pareto_benchmark(model, grid, 16, 8, Rng(6))
         assert rows == []
         assert len(failures) == 1 and failures[0][0].method == "euler"

@@ -17,10 +17,15 @@ def tiny_config(seed=0, kind="moons", **overrides):
     return cfm.TrainConfig.default(dataset, seed=seed, **defaults, **overrides)
 
 
+def first_train_batch(data, rng, batch_size):
+    # the pairing train uses: a slice of the epoch's permutation of the rows
+    return cfm._pairs(data[rng.permutation(data.shape[0])[:batch_size]], rng)
+
+
 class TestBatches:
     def test_interpolation_identities_bitwise(self):
         data = Rng(1).normal(size=(100, 2))
-        batch = cfm.make_batch(data, Rng(2), 32)
+        batch = first_train_batch(data, Rng(2), 32)
         tt = batch.t[:, None]
         assert np.array_equal(batch.x_t, (1.0 - tt) * batch.x0 + tt * batch.x1)
         assert np.array_equal(batch.u_t, batch.x1 - batch.x0)
@@ -37,11 +42,11 @@ class TestBatches:
 
     def test_batch_shapes_and_validation(self):
         data = Rng(1).normal(size=(50, 3))
-        batch = cfm.make_batch(data, Rng(2), 17)
+        batch = first_train_batch(data, Rng(2), 17)
         assert batch.x_t.shape == (17, 3)
         assert np.all((batch.t >= 0) & (batch.t < 1))
         with pytest.raises(ValueError):
-            cfm.make_batch(data, Rng(2), 0)
+            tiny_config(batch_size=0)
 
 
 class TestTrain:

@@ -262,8 +262,8 @@ class TestInitAndPersistence:
     def test_parameter_count_regression(self):
         # frozen count for the default 2D configuration (~0.55M)
         cfg = nn.MlpConfig(data_dim=2, hidden=256, n_blocks=4, time_embed_dim=64)
-        assert nn.parameter_count(cfg) == 546_050
-        assert nn.parameter_count(nn.init_params(cfg, Rng(0))) == 546_050
+        assert nn.MlpParams(cfg).flat.size == 546_050
+        assert nn.init_params(cfg, Rng(0)).flat.size == 546_050
 
     def test_init_bounds(self):
         params = nn.init_params(TINY, Rng(8))

@@ -4,7 +4,7 @@ import pytest
 from fmsolve.cfm import SolverSpec, TrainConfig
 from fmsolve.data import DatasetSpec
 from fmsolve.nn import MlpConfig
-from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample, wasserstein2_1d
+from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample
 from fmsolve.ode import StepControlConfig
 
 
@@ -100,36 +100,6 @@ class TestCond2x2:
             if np.isfinite(c):
                 for s in (2.0, -0.5, 1e3):
                     assert cond2x2(s * m) == pytest.approx(c, rel=1e-9)
-
-
-class TestWasserstein1d:
-    def test_identical_is_zero(self):
-        a = [3.0, -1.0, 0.5]
-        assert wasserstein2_1d(a, a) == 0.0
-
-    def test_pure_shift(self):
-        assert wasserstein2_1d([0.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-    def test_sorted_difference_formula(self):
-        # direct evaluation: diffs (0-0, 0-2) -> sqrt((0+4)/2)
-        assert wasserstein2_1d([0.0, 0.0], [0.0, 2.0]) == pytest.approx(np.sqrt(2.0))
-
-    def test_unsorted_input_allowed(self):
-        assert wasserstein2_1d([1.0, 0.0], [2.0, 1.0]) == pytest.approx(1.0)
-
-    def test_symmetry_and_triangle(self):
-        rng = Rng(9)
-        for _ in range(100):
-            a = rng.normal(size=20)
-            b = rng.normal(size=20) * 2.0
-            c = rng.normal(size=20) + 1.0
-            dab = wasserstein2_1d(a, b)
-            assert dab == pytest.approx(wasserstein2_1d(b, a), rel=1e-9, abs=1e-15)
-            assert dab <= wasserstein2_1d(a, c) + wasserstein2_1d(c, b) + 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            wasserstein2_1d([0.0], [0.0, 1.0])
 
 
 class TestFieldTypes:
