@@ -196,9 +196,10 @@ def cmd_train(args):
     tc, _ = load_run_config(args.config)
     tc = replace(tc, seed=_resolve_seed(args.seed, tc.seed))
     model = cfm.train(tc)
-    _ensure_dir(os.path.dirname(os.path.abspath(args.out)))
-    cfm.save_model(model, args.out)
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
+    for path in (args.out, loss_csv):
+        _ensure_dir(os.path.dirname(os.path.abspath(path)))
+    cfm.save_model(model, args.out)
     write_csv(loss_csv, ["epoch", "loss"], enumerate(model.loss_curve))
     print(f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}")
     print(f"model -> {args.out}")
@@ -255,14 +256,14 @@ def _write_pareto(out, name, rows):
 def cmd_benchmark(args):
     tc, grid = load_run_config(args.config) if args.config else (None, None)
     grid = grid or _default_grid()
-    out = _ensure_dir(args.out)
+    # everything is checked before the output directory is made
     if args.hidden:
         if tc is None:
             raise ConfigError("--hidden sweep needs --config with dataset/train settings")
-        widths = [int(w) for w in args.hidden.split(",")]
         seed = _resolve_seed(args.seed, tc.seed)
+        out = _ensure_dir(args.out)
         ablation = []
-        for w in widths:
+        for w in args.hidden:
             tc_w = replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w))
             print(f"training hidden={w} ...")
             model = cfm.train(tc_w)
@@ -271,12 +272,13 @@ def cmd_benchmark(args):
             ablation += [(w, *astuple(r)) for r in rows]
         write_csv(os.path.join(out, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)],
                   ablation)
-        print(f"ablation over widths {widths} -> {os.path.join(out, 'ablation.csv')}")
+        print(f"ablation over widths {args.hidden} -> {os.path.join(out, 'ablation.csv')}")
         return EXIT_OK
     if not args.model:
         raise ConfigError("--model is required (or use --hidden with --config)")
     model = cfm.load_model(args.model)
     seed = _resolve_seed(args.seed, model.config.seed)
+    out = _ensure_dir(args.out)
     rows = _benchmark_one(model, grid, args, Rng(seed))
     _write_pareto(out, "pareto", rows)
     for r in rows:
@@ -354,6 +356,14 @@ def count(text):
     return value
 
 
+def widths(text):
+    """argparse type of --hidden: comma-separated distinct counts."""
+    values = [count(w) for w in text.split(",")]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct widths, got {text}")
+    return values
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fmsolve",
@@ -398,7 +408,8 @@ def build_parser():
     p = sub.add_parser("benchmark", help="NFE vs SWD over a solver grid")
     p.add_argument("--model", default=None)
     p.add_argument("--config", default=None, help="run config (solver_grid, ablation training)")
-    p.add_argument("--hidden", default=None, help="comma list of widths: retrain per width")
+    p.add_argument("--hidden", type=widths, default=None,
+                   help="comma list of distinct widths: retrain per width")
     p.add_argument("--n", type=count, default=2000, help="generated/reference sample count")
     p.add_argument("--projections", type=count, default=200)
     p.add_argument("--seed", type=int, default=None)

@@ -331,7 +331,8 @@ def params_to_arrays(params):
 
 
 def params_from_arrays(config, arrays):
-    """Inverse of :func:`params_to_arrays`; validates names and shapes."""
+    """Inverse of :func:`params_to_arrays`; validates names and shapes, and
+    that every value is finite (the error names the first bad tensor)."""
     params = MlpParams(config)
     seen = set()
     for name, arr in params.named():
@@ -345,4 +346,5 @@ def params_from_arrays(config, arrays):
     extra = set(arrays) - seen
     if extra:
         raise ValueError(f"unknown parameter tensors: {sorted(extra)}")
+    params.check_finite()
     return params

@@ -114,6 +114,14 @@ class TestTrainCmd:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_loss_csv_directory_created(self, workspace):
+        loss_csv = workspace / "nodir" / "loss.csv"
+        assert cli.main(["train", "--config", str(workspace / "cfg.json"),
+                         "--out", str(workspace / "m.json"), "--loss-csv", str(loss_csv)]) == 0
+        header, rows = read_csv(loss_csv)
+        assert header == ["epoch", "loss"]
+        assert len(rows) == TINY_CONFIG["train"]["epochs"]
+
     def test_seed_env_override(self, workspace, monkeypatch):
         cfg = str(workspace / "cfg.json")
         a, b = workspace / "a.json", workspace / "b.json"
@@ -360,6 +368,13 @@ MALFORMED_INPUT = {
         ws, lambda d: d["dataset"].update(noise=float("nan"))),
     "config-lr-infinity": lambda ws, model: _train_argv(
         ws, lambda d: d["train"].update(lr=float("inf"))),
+    "model-param-nan": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["params"]["block0.w1"][0].__setitem__(0, float("nan"))),
+    "benchmark-without-model": lambda ws, model: ["benchmark", "--out", str(ws / "out")],
+    "benchmark-missing-model-path": lambda ws, model: [
+        "benchmark", "--model", str(ws / "absent.json"), "--out", str(ws / "out")],
+    "benchmark-hidden-without-config": lambda ws, model: [
+        "benchmark", "--hidden", "8", "--out", str(ws / "out")],
 }
 
 
@@ -375,6 +390,19 @@ class TestMalformedInput:
             # a bad model, flag or solver grid fails before the output
             # directory is made, so no sampling work is done and nothing written
             assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["model", "hidden-sweep"])
+    def test_bad_seed_env_leaves_no_output(self, hidden, trained, monkeypatch, capsys):
+        workspace, model = trained
+        monkeypatch.setenv("FMSOLVE_SEED", "abc")
+        source = ["--config", str(workspace / "cfg.json"), "--hidden", "8"] if hidden \
+            else ["--model", str(model)]
+        capsys.readouterr()
+        assert cli.main(["benchmark", *source, "--out", str(workspace / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "FMSOLVE_SEED" in captured.err
+        assert "training" not in captured.out
+        assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize(
         "entry",
@@ -408,6 +436,23 @@ class TestCountFlags:
         assert exc_info.value.code == 2
         assert "expected an integer >= 1" in capsys.readouterr().err
         assert not (out / written).exists()
+
+    @pytest.mark.parametrize(
+        "hidden, message",
+        [("8,0", "expected an integer >= 1"), ("8,x", "invalid widths value"),
+         ("8,8", "expected distinct widths")],
+        ids=["zero-width", "non-integer-width", "duplicate-width"],
+    )
+    def test_hidden_rejected_before_training(self, hidden, message, workspace, capsys):
+        out = workspace / "ablate"
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["benchmark", "--config", str(workspace / "cfg.json"), "--hidden", hidden,
+                      "--n", "8", "--projections", "4", "--out", str(out)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "training" not in captured.out
+        assert not out.exists()
 
 
 STABILITY_FLAGS = {

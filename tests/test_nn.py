@@ -295,6 +295,12 @@ class TestInitAndPersistence:
         with pytest.raises(ValueError, match="shape"):
             nn.params_from_arrays(TINY, wrong)
 
+    def test_load_rejects_non_finite_values(self):
+        params, _, _, _ = tiny_setup()
+        params.blocks[0].w1[0, 0] = np.nan
+        with pytest.raises(ValueError, match="block0.w1"):
+            nn.params_from_arrays(TINY, nn.params_to_arrays(params))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             nn.MlpConfig(data_dim=2, hidden=0)
