@@ -19,6 +19,7 @@ __all__ = [
     "DecayProblem",
     "convergence_study",
     "dopri5_tolerance_study",
+    "slope_above_floor",
     "fit_loglog_slope",
     "ParetoRow",
     "pareto_benchmark",
@@ -95,14 +96,13 @@ def convergence_study(problem, methods, h_list):
     rows = []
     slopes = {}
     for method in methods:
-        pairs = []
+        method_rows = []
         for h in h_list:
             n = max(1, round(problem.t1 / h))
             err = _global_error(problem, integrate_fixed, n, method)
-            rows.append(ConvergenceRow(method=method, h=h, global_error=err))
-            if err > ERROR_FLOOR:
-                pairs.append((h, err))
-        slopes[method] = fit_loglog_slope(pairs)
+            method_rows.append(ConvergenceRow(method=method, h=h, global_error=err))
+        rows += method_rows
+        slopes[method] = slope_above_floor(method_rows)
     return rows, slopes
 
 
@@ -125,6 +125,11 @@ def _global_error(problem, integrate, *args):
     f = VectorField(lambda t, y: problem.lam * y)
     y_final, _ = integrate(f, np.full(problem.dim, float(problem.y0)), 0.0, problem.t1, *args)
     return float(np.max(np.abs(y_final - problem.y0 * math.exp(problem.lam * problem.t1))))
+
+
+def slope_above_floor(rows):
+    """:func:`fit_loglog_slope` of the ConvergenceRows with error above ERROR_FLOOR."""
+    return fit_loglog_slope([(r.h, r.global_error) for r in rows if r.global_error > ERROR_FLOOR])
 
 
 def fit_loglog_slope(pairs):

@@ -29,8 +29,6 @@ EXIT_NUMERIC = 3
 
 CONFIG_FORMAT_VERSION = 1
 
-SOLVER_NAMES = tuple(TABLEAUS)
-
 #: step-count grids for the NFE/quality benchmark
 DEFAULT_GRID = (
     [("euler", n) for n in (10, 20, 50, 100, 200)]
@@ -109,10 +107,6 @@ def _ensure_dir(path):
     return path
 
 
-def _default_grid():
-    return [SolverSpec(m, n) for m, n in DEFAULT_GRID] + [SolverSpec("dopri5")]
-
-
 def _header(record_type, **rename):
     """CSV header of a result dataclass: its field names, some renamed."""
     return [rename.get(f.name, f.name) for f in fields(record_type)]
@@ -153,10 +147,7 @@ def cmd_convergence(args):
     )
     for m in FIXED_STEP_METHODS:
         print(f"{m:<9} slope {slopes[m]:.3f}")
-    dopri_slope = analysis.fit_loglog_slope(
-        [(r.h, r.global_error) for r in dopri_rows if r.global_error > analysis.ERROR_FLOOR]
-    )
-    print(f"dopri5    error-vs-tolerance slope {dopri_slope:.3f}")
+    print(f"dopri5    error-vs-tolerance slope {analysis.slope_above_floor(dopri_rows):.3f}")
     return EXIT_OK
 
 
@@ -166,12 +157,12 @@ def cmd_stability(args):
     rasters = [
         stability_region_grid(m, (args.re_min, args.re_max), (args.im_min, args.im_max),
                               args.resolution)
-        for m in SOLVER_NAMES
+        for m in TABLEAUS
     ]
     demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
     traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1, n_report=200)
     out = _ensure_dir(args.out)
-    for method, raster in zip(SOLVER_NAMES, rasters):
+    for method, raster in zip(TABLEAUS, rasters):
         raster.write_csv(os.path.join(out, f"stability_{method}.csv"))
         svg.raster_chart(
             os.path.join(out, f"stability_{method}.svg"), raster,
@@ -248,14 +239,14 @@ def _write_pareto(out, name, rows):
     write_csv(os.path.join(out, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
     svg.line_chart(
         os.path.join(out, f"{name}.svg"),
-        _method_series(rows, {m: m for m in SOLVER_NAMES}, lambda r: r.nfe, lambda r: r.swd),
+        _method_series(rows, {m: m for m in TABLEAUS}, lambda r: r.nfe, lambda r: r.swd),
         title="NFE vs SWD", xlabel="NFE", ylabel="SWD", logx=True, logy=True,
     )
 
 
 def cmd_benchmark(args):
     tc, grid = load_run_config(args.config) if args.config else (None, None)
-    grid = grid or _default_grid()
+    grid = grid or [SolverSpec(m, n) for m, n in DEFAULT_GRID] + [SolverSpec("dopri5")]
     # everything is checked before the output directory is made
     if args.hidden:
         if tc is None:
@@ -396,7 +387,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="sample from a trained model with a chosen solver")
     p.add_argument("--model", required=True)
-    p.add_argument("--solver", required=True, choices=SOLVER_NAMES)
+    p.add_argument("--solver", required=True, choices=TABLEAUS)
     p.add_argument("--steps", type=count, default=None, help="step count (fixed-step solvers only)")
     p.add_argument("--atol", type=float, default=None, help="dopri5 only (default 1e-5)")
     p.add_argument("--rtol", type=float, default=None, help="dopri5 only (default 1e-5)")

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import check_field_types, write_csv
+from .numeric import check_field_types
 
-__all__ = ["DatasetSpec", "generate", "component_sizes", "export_csv", "DATASET_KINDS"]
+__all__ = ["DatasetSpec", "generate", "component_sizes", "DATASET_KINDS"]
 
 DATASET_KINDS = ("moons", "circles", "gaussian_nd")
 
@@ -91,20 +91,3 @@ def generate(spec, rng):
         pts = pts + spec.noise * rng.normal(size=pts.shape)
     return pts
 
-
-def export_csv(spec, points, path):
-    """Write a generated point batch as x0..x{d-1}[,label].
-
-    The label column (component index, matching the row order of
-    :func:`generate`) is emitted for the two-component datasets only.
-    """
-    points = np.asarray(points, dtype=float)
-    sizes = component_sizes(spec)
-    header = [f"x{i}" for i in range(points.shape[1])]
-    rows = points.tolist()
-    if len(sizes) == 2:
-        if points.shape[0] != spec.n:
-            raise ValueError(f"expected {spec.n} rows for {spec.kind}, got {points.shape[0]}")
-        header.append("label")
-        rows = [row + [label] for row, label in zip(rows, [0] * sizes[0] + [1] * sizes[1])]
-    write_csv(path, header, rows)

@@ -52,14 +52,12 @@ class Rng:
         """Uniform draws on [low, high)."""
         return self._gen.random(size) * (high - low) + low
 
-    def normal(self, size=None):
-        """Standard-normal draws via the Box-Muller transform.
+    def normal(self, size):
+        """Standard-normal draws of shape ``size`` via the Box-Muller transform.
 
         Draws pairs (u1, u2) of uniforms on (0,1] x [0,1) and maps
         z1 = sqrt(-2 ln u1) cos(2 pi u2), z2 = sqrt(-2 ln u1) sin(2 pi u2).
         """
-        if size is None:
-            return self.normal(size=1)[0]
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         half = (n + 1) // 2

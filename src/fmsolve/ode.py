@@ -395,12 +395,12 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
         NFE = 1 + 6 * (accepted + rejected) (+1 for the heuristic trial).
 
     The final step is clipped to land on t1 exactly.  After a rejection the
-    growth factor is capped at 1 until the next acceptance, which damps
-    accept/reject oscillation.  Raises :class:`IntegrationError` when
-    cfg.max_steps attempts are exhausted, a stage goes non-finite, the
-    proposed state goes non-finite ("state became non-finite", as in
-    :func:`integrate_fixed`), or the step size underflows (h < 16*eps*|t|,
-    as near a finite-time blow-up).
+    growth factor is capped at 1 up to and including the next accepted
+    step, which damps accept/reject oscillation.  Raises
+    :class:`IntegrationError` when cfg.max_steps attempts are exhausted, a
+    stage goes non-finite, the proposed state goes non-finite ("state
+    became non-finite", as in :func:`integrate_fixed`), or the step size
+    underflows (h < 16*eps*|t|, as near a finite-time blow-up).
 
     Returns ``(y_final, SolveTrace)``; the trace records every attempt,
     rejections included.
@@ -440,18 +440,13 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
         trace.steps.append(
             StepRecord(t=t, h=h, err=err, accepted=accepted, nfe_cum=f.nfe - nfe0)
         )
-        h_next = propose_step(h, err)
         if accepted:
             y = y5
             t = t1 if is_last else t + h
             k1 = k[-1]  # FSAL
-            if just_rejected:
-                h_next = min(h_next, h)
-                just_rejected = False
-        else:
-            just_rejected = True
-            h_next = min(h_next, h)
-        h = h_next
+        h_next = propose_step(h, err)
+        h = min(h_next, h) if not accepted or just_rejected else h_next
+        just_rejected = not accepted
     trace.nfe_total = f.nfe - nfe0
     return y, trace
 
@@ -459,25 +454,22 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
 # ---------------------------------------------------------------------------
 # stability functions
 
-def _stability_polynomial(method, z):
-    # Horner evaluation of R(z); z may be a complex scalar or array.
-    if method not in TABLEAUS:
-        raise ValueError(f"unknown method {method!r}")
-    acc = 0j
-    for ck in TABLEAUS[method].stability_coefficients()[::-1]:
-        acc = acc * z + ck
-    return acc
-
-
 def stability_value(method, z):
     """Amplification factor R(z) of a method applied to y' = lambda*y, z = h*lambda.
 
     The polynomial comes from the method's Butcher tableau via
     R(z) = 1 + sum_k (b . A^(k-1) . 1) z^k: 1 + z for Euler, 1 + z + z^2/2 for
     midpoint, the exponential series truncated at order 4 for RK4, and a
-    degree-6 polynomial for dopri5.
+    degree-6 polynomial for dopri5; ``z`` may be a scalar or an array.
     """
-    return _stability_polynomial(method, complex(z))
+    if method not in TABLEAUS:
+        raise ValueError(f"unknown method {method!r}")
+    if np.ndim(z) == 0:
+        z = complex(z)
+    acc = 0j  # Horner
+    for ck in TABLEAUS[method].stability_coefficients()[::-1]:
+        acc = acc * z + ck
+    return acc
 
 
 @dataclass
@@ -523,5 +515,5 @@ def stability_region_grid(method, re_range, im_range, resolution):
     re = np.linspace(re_range[0], re_range[1], n_re)
     im = np.linspace(im_range[0], im_range[1], n_im)
     z = re[None, :] + 1j * im[:, None]
-    mag = np.abs(_stability_polynomial(method, z))
+    mag = np.abs(stability_value(method, z))
     return StabilityRaster(method=method, re=re, im=im, magnitude=mag, inside=mag <= 1.0)

@@ -1,9 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from fmsolve.data import DatasetSpec, component_sizes, export_csv, generate
+from fmsolve.data import DatasetSpec, component_sizes, generate
 from fmsolve.numeric import Rng
 
 
@@ -76,34 +74,3 @@ class TestGenerate:
             n0, n1 = component_sizes(DatasetSpec("moons", n=n))
             assert n0 + n1 == n and n0 - n1 in (0, 1)
 
-
-class TestExportCsv:
-    def test_exact_bytes(self, tmp_path):
-        # integer-valued and tiny coordinates still come out as full float reprs
-        path = tmp_path / "moons.csv"
-        export_csv(DatasetSpec("moons", n=3), [[0.5, -1], [2, 3e-20], [1 / 3, 0.1]], path)
-        assert path.read_bytes() == (
-            b"x0,x1,label\r\n0.5,-1.0,0\r\n2.0,3e-20,0\r\n0.3333333333333333,0.1,1\r\n"
-        )
-
-    def test_labeled_two_component_export(self, tmp_path):
-        spec = DatasetSpec("moons", n=9, noise=0.0)
-        pts = generate(spec, Rng(0))
-        path = tmp_path / "moons.csv"
-        export_csv(spec, pts, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x0", "x1", "label"]
-        labels = [r[2] for r in rows[1:]]
-        assert labels == ["0"] * 5 + ["1"] * 4
-        assert float(rows[1][0]) == pts[0, 0]  # full-precision round trip
-
-    def test_gaussian_export_has_no_label(self, tmp_path):
-        spec = DatasetSpec("gaussian_nd", n=4, dim=3, noise=0.0)
-        pts = generate(spec, Rng(1))
-        path = tmp_path / "g.csv"
-        export_csv(spec, pts, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x0", "x1", "x2"]
-        assert len(rows) == 5

@@ -4,7 +4,7 @@ import pytest
 from fmsolve.cfm import SolverSpec, TrainConfig
 from fmsolve.data import DatasetSpec
 from fmsolve.nn import MlpConfig
-from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample
+from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample, write_csv
 from fmsolve.ode import StepControlConfig
 
 
@@ -140,3 +140,16 @@ class TestFieldTypes:
         assert DatasetSpec("moons", n=np.int64(64), noise=np.float32(0.5)).n == 64
         assert SolverSpec("dopri5", atol=1, rtol=np.float64(1e-4)).n_steps is None
         assert StepControlConfig(h_init=None, max_steps=np.int32(5)).max_steps == 5
+
+
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        # integer-valued and tiny floats still come out as full float reprs,
+        # numpy floats as plain ones, ints via str and None as an empty cell
+        path = tmp_path / "rows.csv"
+        rows = [[0.5, -1.0, 0], [2.0, 3e-20, 0], [1 / 3, np.float64(0.1), 1], [None, 4.0, 2]]
+        write_csv(path, ["x0", "x1", "label"], rows)
+        assert path.read_bytes() == (
+            b"x0,x1,label\r\n0.5,-1.0,0\r\n2.0,3e-20,0\r\n0.3333333333333333,0.1,1\r\n"
+            b",4.0,2\r\n"
+        )

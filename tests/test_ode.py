@@ -351,6 +351,21 @@ class TestDopri5:
             if i + 1 < len(trace.steps):
                 assert trace.steps[i + 1].h < trace.steps[i].h
 
+    def test_no_growth_right_after_a_rejection(self):
+        # the first step accepted after a rejection is followed by an attempt
+        # no larger than itself; later accepted steps may grow again
+        f = VectorField(lambda t, y: -y * (1.0 + 1000.0 * (t > 0.5)))
+        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, StepControlConfig(atol=1e-8, rtol=1e-8))
+        steps = trace.steps
+        recovered = [i for i in range(1, len(steps) - 1)
+                     if steps[i].accepted and not steps[i - 1].accepted]
+        assert recovered, "expected an acceptance right after a rejection"
+        for i in recovered:
+            assert steps[i + 1].h <= steps[i].h
+        grew = [i for i in range(1, len(steps) - 1)
+                if steps[i].accepted and steps[i - 1].accepted and steps[i + 1].h > steps[i].h]
+        assert grew, "growth is capped only right after a rejection"
+
     def test_max_steps_exhaustion(self):
         f = decay_field(-1e6)
         cfg = StepControlConfig(atol=1e-12, rtol=1e-12, max_steps=10)
@@ -436,6 +451,18 @@ class TestStability:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             stability_value("heun", 0.0)
+
+    @pytest.mark.parametrize("method", sorted(TABLEAUS))
+    def test_array_matches_scalar_calls_and_grid(self, method):
+        r = stability_region_grid(method, (-3, 1), (-2, 2), (9, 7))
+        z = r.re[None, :] + 1j * r.im[:, None]
+        values = stability_value(method, z)
+        assert values.shape == z.shape
+        scalar = [[stability_value(method, zk) for zk in row] for row in z.tolist()]
+        # numpy's vectorized complex product may round differently from
+        # Python's in the last bit, so elementwise agreement is to 1e-14
+        np.testing.assert_allclose(values, np.array(scalar), rtol=1e-14, atol=1e-15)
+        assert np.array_equal(np.abs(values), r.magnitude)
 
     def test_grid_contains_euler_disk_center(self):
         r = stability_region_grid("euler", (-3, 1), (-2, 2), 81)
