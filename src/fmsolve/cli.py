@@ -186,10 +186,13 @@ def cmd_stability(args):
 def cmd_train(args):
     tc, _ = load_run_config(args.config)
     tc = replace(tc, seed=_resolve_seed(args.seed, tc.seed))
-    model = cfm.train(tc)
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
+    if os.path.realpath(loss_csv) == os.path.realpath(args.out):
+        raise ConfigError(f"--loss-csv and --out name the same file {args.out}")
+    # the output directories exist before the training they would waste
     for path in (args.out, loss_csv):
         _ensure_dir(os.path.dirname(os.path.abspath(path)))
+    model = cfm.train(tc)
     cfm.save_model(model, args.out)
     write_csv(loss_csv, ["epoch", "loss"], enumerate(model.loss_curve))
     print(f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}")
@@ -245,6 +248,8 @@ def _write_pareto(out, name, rows):
 
 
 def cmd_benchmark(args):
+    if args.model and args.hidden:
+        raise ConfigError("--model and --hidden exclude each other: --hidden retrains per width")
     tc, grid = load_run_config(args.config) if args.config else (None, None)
     grid = grid or [SolverSpec(m, n) for m, n in DEFAULT_GRID] + [SolverSpec("dopri5")]
     # everything is checked before the output directory is made
