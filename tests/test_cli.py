@@ -122,17 +122,6 @@ class TestTrainCmd:
         assert header == ["epoch", "loss"]
         assert len(rows) == TINY_CONFIG["train"]["epochs"]
 
-    def test_unwritable_out_fails_before_training(self, workspace, monkeypatch, capsys):
-        def no_training(tc):
-            raise AssertionError("cfm.train called")
-
-        monkeypatch.setattr(cli.cfm, "train", no_training)
-        out = workspace / "cfg.json" / "m.json"  # the parent of --out is a file
-        assert cli.main(["train", "--config", str(workspace / "cfg.json"), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "trained" not in captured.out
-
     def test_seed_env_override(self, workspace, monkeypatch):
         cfg = str(workspace / "cfg.json")
         a, b = workspace / "a.json", workspace / "b.json"
@@ -229,18 +218,6 @@ class TestBenchmarkCmd:
         captured = capsys.readouterr()
         assert "training" not in captured.out
         assert "solver_grid[0]" in captured.err
-        assert not out.exists()
-
-    def test_model_with_hidden_rejected(self, trained, capsys):
-        workspace, model = trained
-        out = workspace / "ablate"
-        capsys.readouterr()
-        code = cli.main(["benchmark", "--model", str(model), "--config", str(workspace / "cfg.json"),
-                         "--hidden", "4", "--n", "32", "--projections", "8", "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "--model" in captured.err and "--hidden" in captured.err
-        assert "training" not in captured.out
         assert not out.exists()
 
     def test_needs_model_or_sweep(self, workspace):
@@ -401,6 +378,8 @@ MALFORMED_INPUT = {
     "benchmark-model-and-hidden": lambda ws, model: [
         "benchmark", "--model", str(model), "--config", str(ws / "cfg.json"), "--hidden", "8",
         "--out", str(ws / "out")],
+    "train-out-under-a-file": lambda ws, model: [
+        "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "cfg.json" / "m.json")],
     "loss-csv-is-out": lambda ws, model: [
         "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "m.json"),
         "--loss-csv", str(ws / "." / "m.json")],
@@ -419,7 +398,9 @@ class TestMalformedInput:
         capsys.readouterr()
         argv = MALFORMED_INPUT[case](workspace, model)
         assert cli.main(argv) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not captured.out  # no "training ..." or "trained ..." line
         if argv[0] in ("sample", "benchmark"):
             # a bad model, flag or solver grid fails before the output
             # directory is made, so no sampling work is done and nothing written
