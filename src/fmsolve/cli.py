@@ -189,7 +189,7 @@ def cmd_train(args):
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
     if os.path.realpath(loss_csv) == os.path.realpath(args.out):
         raise ConfigError(f"--loss-csv and --out name the same file {args.out}")
-    # the output directories exist before the training they would waste
+    # paths are checked and directories made first, so a bad path costs no training
     for path in (args.out, loss_csv):
         _ensure_dir(os.path.dirname(os.path.abspath(path)))
     model = cfm.train(tc)
