@@ -50,8 +50,6 @@ def swd(a, b, n_projections, rng):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"batch shapes disagree: {a.shape} vs {b.shape}")
-    if n_projections < 1:
-        raise ValueError("n_projections must be >= 1")
     d = a.shape[1]
     dirs = gaussian_sample(rng, n_projections, d)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -73,12 +71,13 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class DecayProblem:
-    """y' = lam * y with y(0) = y0 on [0, t1], optionally replicated across
-    ``dim`` identical components to exercise the tensor path."""
+    """y' = lam * y with y(0) = y0 on [0, t1] for the fixed constants below,
+    optionally replicated across ``dim`` identical components to exercise
+    the tensor path."""
 
-    lam: float = -1.0
-    y0: float = 1.0
-    t1: float = 1.0
+    lam = -1.0
+    y0 = 1.0
+    t1 = 1.0
     dim: int = 1
 
 
@@ -312,15 +311,13 @@ def dopri_step_summary(trace, bins=10):
         raise ValueError("trace has no accepted steps")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    ts, hs = np.array(accepted).T
     t0 = accepted[0][0]
     t1 = accepted[-1][0] + accepted[-1][1]
     edges = np.linspace(t0, t1, bins + 1)
-    counts = np.zeros(bins, dtype=int)
-    sums = np.zeros(bins)
-    for t, h in accepted:
-        idx = min(int((t - t0) / (t1 - t0) * bins), bins - 1)
-        counts[idx] += 1
-        sums[idx] += h
+    idx = np.minimum(((ts - t0) / (t1 - t0) * bins).astype(int), bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    sums = np.bincount(idx, weights=hs, minlength=bins)
     mean_h = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return StepSummary(bin_edges=edges, counts=counts, mean_h=mean_h, accepted=accepted)
 

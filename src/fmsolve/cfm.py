@@ -18,7 +18,7 @@ batch draws.  Sampling uses whatever rng the caller passes.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class TrainConfig:
         """Dict without the seed (persisted separately in the model file)."""
         return {
             "dataset": self.dataset.to_dict(),
-            "mlp": self.mlp.to_dict(),
+            "mlp": asdict(self.mlp),
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "lr": self.lr,
@@ -99,8 +99,7 @@ class TrainConfig:
     def from_dict(cls, d, seed):
         """Inverse of :meth:`to_dict`; every key it writes is required."""
         check_keys(d, "config", required=("dataset", "mlp", "epochs", "batch_size", "lr"))
-        nested = {"dataset": DatasetSpec.from_dict(d["dataset"]),
-                  "mlp": nn.MlpConfig.from_dict(d["mlp"])}
+        nested = {"dataset": DatasetSpec(**d["dataset"]), "mlp": nn.MlpConfig(**d["mlp"])}
         return cls(**{**d, **nested}, seed=seed)
 
 
@@ -249,8 +248,6 @@ def sample(model, solver, n, rng):
     data coordinates.  The trace covers the whole batch; its NFE counts
     network calls, i.e. solver stages.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     z0 = gaussian_sample(rng, n, model.data_dim)
     f = velocity_field(model.params)
     if solver.adaptive:

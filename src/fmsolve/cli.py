@@ -21,7 +21,7 @@ from . import analysis, cfm, svg
 from .cfm import SolverSpec, TrainConfig, TrainingError
 from .data import DatasetSpec
 from .numeric import Rng, check_keys, check_version, write_csv
-from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, stability_region_grid
+from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, StepControlConfig, stability_region_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,11 +29,12 @@ EXIT_NUMERIC = 3
 
 CONFIG_FORMAT_VERSION = 1
 
-#: step-count grids for the NFE/quality benchmark
+#: solver grid of the NFE/quality benchmark without a solver_grid
 DEFAULT_GRID = (
-    [("euler", n) for n in (10, 20, 50, 100, 200)]
-    + [("midpoint", n) for n in (10, 20, 50, 100)]
-    + [("rk4", n) for n in (5, 10, 20, 50)]
+    [SolverSpec("euler", n) for n in (10, 20, 50, 100, 200)]
+    + [SolverSpec("midpoint", n) for n in (10, 20, 50, 100)]
+    + [SolverSpec("rk4", n) for n in (5, 10, 20, 50)]
+    + [SolverSpec("dopri5")]
 )
 
 
@@ -65,7 +66,7 @@ def load_run_config(path):
         check_version(doc["format_version"], CONFIG_FORMAT_VERSION, "config")
         train = doc.get("train", {})
         check_keys(train, "train", required=(), optional=("epochs", "batch_size", "lr", "mlp"))
-        tc = TrainConfig.default(DatasetSpec.from_dict(doc["dataset"]), seed=doc["seed"], **train)
+        tc = TrainConfig.default(DatasetSpec(**doc["dataset"]), seed=doc["seed"], **train)
         grid = doc.get("solver_grid")
         if grid is not None:
             if not isinstance(grid, list) or not grid:
@@ -127,7 +128,7 @@ def _method_series(rows, labels, x, y):
 def cmd_convergence(args):
     out = _ensure_dir(args.out)
     h_list = [2.0**-e for e in range(3, 11)]
-    problem = analysis.DecayProblem(lam=-1.0, y0=1.0, t1=1.0, dim=args.dim)
+    problem = analysis.DecayProblem(dim=args.dim)
     rows, slopes = analysis.convergence_study(problem, FIXED_STEP_METHODS, h_list)
     tols = [10.0**-e for e in range(3, 11)]
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
@@ -160,15 +161,15 @@ def cmd_stability(args):
         for m in TABLEAUS
     ]
     demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
-    traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1, n_report=200)
+    traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1)
     out = _ensure_dir(args.out)
-    for method, raster in zip(TABLEAUS, rasters):
-        raster.write_csv(os.path.join(out, f"stability_{method}.csv"))
+    for raster in rasters:
+        raster.write_csv(os.path.join(out, f"stability_{raster.method}.csv"))
         svg.raster_chart(
-            os.path.join(out, f"stability_{method}.svg"), raster,
-            title=f"{method}: |R(z)| <= 1",
+            os.path.join(out, f"stability_{raster.method}.svg"), raster,
+            title=f"{raster.method}: |R(z)| <= 1",
         )
-        print(f"{method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
+        print(f"{raster.method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
     demo_rows = [(tr.h, n, y) for tr in traces for n, y in enumerate(tr.y.tolist())]
     write_csv(os.path.join(out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
     svg.line_chart(
@@ -251,7 +252,7 @@ def cmd_benchmark(args):
     if args.model and args.hidden:
         raise ConfigError("--model and --hidden exclude each other: --hidden retrains per width")
     tc, grid = load_run_config(args.config) if args.config else (None, None)
-    grid = grid or [SolverSpec(m, n) for m, n in DEFAULT_GRID] + [SolverSpec("dopri5")]
+    grid = grid or DEFAULT_GRID
     # everything is checked before the output directory is made
     if args.hidden:
         if tc is None:
@@ -263,7 +264,7 @@ def cmd_benchmark(args):
             tc_w = replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w))
             print(f"training hidden={w} ...")
             model = cfm.train(tc_w)
-            rows = _benchmark_one(model, grid, args, Rng(seed, stream=w))
+            rows = _benchmark_one(model, grid, args, Rng(seed))
             _write_pareto(out, f"pareto_hidden{w}", rows)
             ablation += [(w, *astuple(r)) for r in rows]
         write_csv(os.path.join(out, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)],
@@ -423,8 +424,8 @@ def build_parser():
 
     p = sub.add_parser("dopri-trace", help="adaptive step-size trace of one sampling run")
     p.add_argument("--model", required=True)
-    p.add_argument("--atol", type=float, default=1e-5)
-    p.add_argument("--rtol", type=float, default=1e-5)
+    p.add_argument("--atol", type=float, default=StepControlConfig.atol)
+    p.add_argument("--rtol", type=float, default=StepControlConfig.rtol)
     p.add_argument("--n", type=count, default=2000)
     p.add_argument("--bins", type=count, default=10)
     p.add_argument("--seed", type=int, default=0)

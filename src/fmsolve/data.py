@@ -51,10 +51,6 @@ class DatasetSpec:
             d["dim"] = self.dim
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def component_sizes(spec):
     """Points per component: (ceil(n/2), floor(n/2)) for the two-part sets,
@@ -74,19 +70,13 @@ def generate(spec, rng):
     if spec.kind == "gaussian_nd":
         return rng.normal(size=(spec.n, spec.dim))
 
-    n0, n1 = component_sizes(spec)
-    if spec.kind == "moons":
-        th0 = rng.uniform(size=n0, low=0.0, high=np.pi)
-        th1 = rng.uniform(size=n1, low=0.0, high=np.pi)
-        outer = np.column_stack([np.cos(th0), np.sin(th0)])
-        inner = np.column_stack([1.0 - np.cos(th1), 0.5 - np.sin(th1)])
-        pts = np.concatenate([outer, inner], axis=0)
-    else:  # circles
-        th0 = rng.uniform(size=n0, low=0.0, high=2.0 * np.pi)
-        th1 = rng.uniform(size=n1, low=0.0, high=2.0 * np.pi)
-        ring0 = np.column_stack([np.cos(th0), np.sin(th0)])
-        ring1 = 0.5 * np.column_stack([np.cos(th1), np.sin(th1)])
-        pts = np.concatenate([ring0, ring1], axis=0)
+    n0, _ = component_sizes(spec)
+    th = rng.uniform(size=spec.n, high=np.pi if spec.kind == "moons" else 2.0 * np.pi)
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    if spec.kind == "moons":  # the outer half circle, then the inner one shifted and flipped
+        pts[n0:] = [1.0, 0.5] - pts[n0:]
+    else:  # circles: the unit ring, then the half-radius ring
+        pts[n0:] *= 0.5
     if spec.noise > 0:
         pts = pts + spec.noise * rng.normal(size=pts.shape)
     return pts

@@ -16,7 +16,7 @@ frameworks and bit-reproducible.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,13 +59,6 @@ class MlpConfig:
             raise ValueError("hidden and n_blocks must be >= 1")
         if self.time_embed_dim < 2 or self.time_embed_dim % 2 != 0:
             raise ValueError("time_embed_dim must be an even count >= 2")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -120,11 +113,6 @@ class MlpParams:
 
     def zeros_like(self):
         return MlpParams(self.config)
-
-    def copy(self):
-        out = MlpParams(self.config)
-        out.flat[...] = self.flat
-        return out
 
     def check_finite(self):
         if not np.isfinite(self.flat).all():
@@ -307,7 +295,7 @@ ADAM_EPS = 1e-8
 def adam_update(params, grads, state, lr):
     """One bias-corrected Adam step (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Mutates ``params`` and ``state`` in place and returns them.
+    Mutates ``params`` and ``state`` in place.
     """
     state.step += 1
     t = state.step
@@ -319,7 +307,6 @@ def adam_update(params, grads, state, lr):
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * (g * g)
     params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

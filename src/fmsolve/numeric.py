@@ -3,8 +3,9 @@
 Randomness policy: all stochastic code in this package draws from an
 ``Rng``, a thin wrapper around the counter-based Philox 4x64 bit
 generator keyed by ``(seed, stream)``.  Substreams obtained with
-:meth:`Rng.stream` are statistically independent and reproducible, so
-batched or sharded work can be re-run bit-identically.  Gaussian draws
+:meth:`Rng.stream_rng` are statistically independent and reproducible, so
+batched or sharded work can be re-run bit-identically; ``stream_rng`` keys
+on the seed alone, so substreams do not nest.  Gaussian draws
 use the trigonometric Box-Muller transform on Philox uniforms; the
 transform is fixed here so every module shares one documented mapping
 from uniforms to normals.
@@ -40,8 +41,7 @@ class Rng:
 
     def __init__(self, seed, stream=0):
         self.seed = int(seed)
-        self.stream = int(stream)
-        key = (self.seed & 0xFFFFFFFFFFFFFFFF) | ((self.stream & 0xFFFFFFFFFFFFFFFF) << 64)
+        key = (self.seed & 0xFFFFFFFFFFFFFFFF) | ((int(stream) & 0xFFFFFFFFFFFFFFFF) << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def stream_rng(self, stream):

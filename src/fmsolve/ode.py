@@ -346,25 +346,23 @@ def propose_step(h, err):
     return h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err ** -ORDER_EXPONENT))
 
 
-def initial_step_guess(f, t0, y0, t1, cfg, f0=None):
+def initial_step_guess(f, t0, y0, t1, cfg, f0):
     """Initial step size for the adaptive run.
 
-    Returns cfg.h_init when set.  Otherwise, with f0 = f(t0, y0) (evaluated
-    here unless the caller passes it), d0 = ||y0|| and d1 = ||f0|| in the
-    tolerance-scaled RMS norm, a first guess h0 = 0.01 * d0 / d1 is refined
-    by one trial Euler step: with d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the
-    guess becomes h = min(100*h0, (0.01 / max(d1, d2))^ORDER_EXPONENT).  An
-    (almost) flat field makes the guess infinite; the result is always
-    clipped to the interval length.
-    The trial costs one field evaluation unless the flat-field shortcut
-    triggers.
+    Returns cfg.h_init when set.  Otherwise, with f0 = f(t0, y0) (the
+    caller's first stage, already checked finite), d0 = ||y0|| and
+    d1 = ||f0|| in the tolerance-scaled RMS norm, a first guess
+    h0 = 0.01 * d0 / d1 is refined by one trial Euler step: with
+    d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the guess becomes
+    h = min(100*h0, (0.01 / max(d1, d2))^ORDER_EXPONENT).  An (almost) flat
+    field makes the guess infinite; the result is always clipped to the
+    interval length.  The trial costs one field evaluation unless the
+    flat-field shortcut triggers.
     """
     span = t1 - t0
     if cfg.h_init is not None:
         return min(float(cfg.h_init), span)
     y0 = np.asarray(y0, dtype=float)
-    if f0 is None:
-        f0 = _check_finite(f(t0, y0), t0, y0)
     scale = cfg.atol + np.abs(y0) * cfg.rtol
     d0 = _scaled_rms(y0, scale)
     d1 = _scaled_rms(f0, scale)

@@ -25,7 +25,7 @@ class TestSpecs:
     def test_dict_round_trip(self):
         for spec in (DatasetSpec("moons", n=100, noise=0.1),
                      DatasetSpec("gaussian_nd", n=50, dim=7)):
-            assert DatasetSpec.from_dict(spec.to_dict()) == spec
+            assert DatasetSpec(**spec.to_dict()) == spec
 
 
 class TestGenerate:

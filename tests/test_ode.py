@@ -269,19 +269,19 @@ class TestInitialStepGuess:
 
     def test_explicit_override(self):
         cfg = StepControlConfig(h_init=0.01)
-        assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg) == 0.01
+        assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg, -ONE) == 0.01
 
     def test_explicit_override_clips_to_interval(self):
         cfg = StepControlConfig(h_init=5.0)
-        assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg) == 1.0
+        assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg, -ONE) == 1.0
 
     def test_zero_field_clips_to_interval(self):
         f = VectorField(lambda t, y: 0.0 * y)
-        assert initial_step_guess(f, 0.0, ONE, 1.0, self.CFG) == 1.0
+        assert initial_step_guess(f, 0.0, ONE, 1.0, self.CFG, f(0.0, ONE)) == 1.0
 
     def test_stiff_field_gets_small_step(self):
         f = decay_field(-15.0)
-        h = initial_step_guess(f, 0.0, ONE, 1.0, self.CFG)
+        h = initial_step_guess(f, 0.0, ONE, 1.0, self.CFG, f(0.0, ONE))
         assert 0.0 < h <= 0.1
 
     def test_non_finite_trial_raises(self):
@@ -289,7 +289,7 @@ class TestInitialStepGuess:
         # never advances
         f = VectorField(lambda t, y: y * (np.inf if t > 0.0 else -1.0))
         with pytest.raises(IntegrationError):
-            initial_step_guess(f, 0.0, ONE, 1.0, self.CFG)
+            initial_step_guess(f, 0.0, ONE, 1.0, self.CFG, f(0.0, ONE))
 
 
 class TestDopri5:
