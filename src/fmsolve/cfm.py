@@ -18,6 +18,7 @@ batch draws.  Sampling uses whatever rng the caller passes.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -289,8 +290,10 @@ def save_model(model, path):
 def load_model(path):
     """Inverse of :func:`save_model`.
 
-    The top-level keys must be exactly those :func:`save_model` writes; a
-    malformed file raises ValueError naming what is wrong.
+    The top-level keys must be exactly those :func:`save_model` writes, and
+    training_meta must be what it writes: config's epochs, that many finite
+    losses and the last as final_loss.  A malformed file raises ValueError
+    naming what is wrong.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -310,7 +313,16 @@ def load_model(path):
                              f"entries each")
         if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
             raise ValueError("training_meta: data_mean must be finite, data_std finite and > 0")
+        epochs, curve, final = meta["epochs"], meta["loss_curve"], meta["final_loss"]
+        if type(epochs) is not int or epochs != config.epochs:
+            raise ValueError(f"training_meta: epochs {epochs!r} != config epochs {config.epochs}")
+        # type(): true is not a number; an int is always finite
+        if not (isinstance(curve, list) and len(curve) == epochs and all(
+                type(v) is int or type(v) is float and math.isfinite(v) for v in curve)):
+            raise ValueError(f"training_meta: loss_curve must be {epochs} finite numbers")
+        if type(final) not in (int, float) or final != curve[-1]:
+            raise ValueError(f"training_meta: final_loss {final!r} != last loss_curve entry")
         return TrainedModel(params=params, config=config, data_mean=mean, data_std=std,
-                            loss_curve=list(meta["loss_curve"]))
+                            loss_curve=curve)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: malformed entry {exc}") from exc

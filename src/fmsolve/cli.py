@@ -188,6 +188,9 @@ def cmd_train(args):
     tc, _ = load_run_config(args.config)
     tc = replace(tc, seed=_resolve_seed(args.seed, tc.seed))
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
+    for path in (args.out, loss_csv):
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise ConfigError(f"output path {path} names a directory, not a file")
     if os.path.realpath(loss_csv) == os.path.realpath(args.out):
         raise ConfigError(f"--loss-csv and --out name the same file {args.out}")
     # paths are checked and directories made first, so a bad path costs no training

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -208,6 +209,21 @@ class TestBenchmarkCmd:
         assert (out / "pareto_hidden4.csv").exists()
         assert (out / "pareto_hidden8.csv").exists()
 
+    def test_hidden_width_matches_its_trained_model(self, workspace):
+        # a width of the sweep is scored on the same noise, reference and
+        # projections as --model scores the model trained from the config
+        grid = [{"method": "euler", "steps": 5}, {"method": "dopri5", "atol": 1e-3, "rtol": 1e-3}]
+        cfg = _edited(TINY_CONFIG, workspace / "c8.json", lambda d: d.update(solver_grid=grid))
+        model = workspace / "m8.json"
+        flags = ["--config", cfg, "--n", "32", "--projections", "8"]
+        assert cli.main(["train", "--config", cfg, "--out", str(model)]) == 0
+        assert cli.main(["benchmark", *flags, "--hidden", "8", "--out", str(workspace / "sweep")]) == 0
+        assert cli.main(["benchmark", *flags, "--model", str(model),
+                         "--out", str(workspace / "single")]) == 0
+        for ext in ("csv", "svg"):
+            swept = (workspace / "sweep" / f"pareto_hidden8.{ext}").read_bytes()
+            assert swept == (workspace / "single" / f"pareto.{ext}").read_bytes()
+
     def test_hidden_sweep_bad_grid_trains_nothing(self, workspace, capsys):
         cfg = _edited(TINY_CONFIG, workspace / "sweep.json",
                       lambda d: d.update(solver_grid=[{"method": "dopri5", "atol": 0.0}]))
@@ -364,6 +380,22 @@ MALFORMED_INPUT = {
         ws, model, lambda d: d["training_meta"].pop("epochs")),
     "model-meta-unknown-key": lambda ws, model: _model_argv(
         ws, model, lambda d: d["training_meta"].update(extra=1)),
+    "model-meta-epochs-string": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(epochs="x")),
+    "model-meta-epochs-not-config": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(epochs=999)),
+    "model-meta-loss-curve-string": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(loss_curve="abc")),
+    "model-meta-loss-curve-empty": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(loss_curve=[])),
+    "model-meta-loss-curve-nan": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"]["loss_curve"].__setitem__(0, float("nan"))),
+    "model-meta-loss-curve-bool": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"]["loss_curve"].__setitem__(0, True)),
+    "model-meta-final-loss-string": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(final_loss="nan")),
+    "model-meta-final-loss-not-last": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"].update(final_loss=-1.0)),
     "config-noise-nan": lambda ws, model: _train_argv(
         ws, lambda d: d["dataset"].update(noise=float("nan"))),
     "config-lr-infinity": lambda ws, model: _train_argv(
@@ -383,6 +415,13 @@ MALFORMED_INPUT = {
     "loss-csv-is-out": lambda ws, model: [
         "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "m.json"),
         "--loss-csv", str(ws / "." / "m.json")],
+    "train-out-is-a-directory": lambda ws, model: [
+        "train", "--config", str(ws / "cfg.json"), "--out", str(ws)],
+    "train-loss-csv-is-a-directory": lambda ws, model: [
+        "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "m.json"),
+        "--loss-csv", str(ws)],
+    "train-out-names-no-file": lambda ws, model: [
+        "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "newdir") + os.sep],
 }
 
 
