@@ -227,6 +227,18 @@ class TestStepSummary:
         lo = s.mean_h_over(0.0, 0.2)
         assert np.isfinite(lo) and lo > 0
 
+    def test_literal_trace(self):
+        # four bins of width 0.25 on [0, 1]; the steps at 0.25 and 0.5 start
+        # on inner edges and fall in the upper bin; the rejection is skipped
+        steps = [StepRecord(0.0, 0.125, 0.5, True, 7), StepRecord(0.125, 0.125, 0.5, True, 13),
+                 StepRecord(0.25, 0.25, 0.5, True, 19), StepRecord(0.5, 0.5, 2.0, False, 25),
+                 StepRecord(0.5, 0.5, 0.5, True, 31)]
+        s = dopri_step_summary(SolveTrace(steps=steps, nfe_total=31), bins=4)
+        assert s.bin_edges.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert s.counts.tolist() == [2, 1, 1, 0]
+        assert s.mean_h[:3].tolist() == [0.125, 0.25, 0.5]
+        assert np.isnan(s.mean_h[3])
+
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
             dopri_step_summary(SolveTrace(steps=[], nfe_total=0))
