@@ -312,8 +312,7 @@ def dopri_step_summary(trace, bins=10):
     if bins < 1:
         raise ValueError("bins must be >= 1")
     ts, hs = np.array(accepted).T
-    t0 = accepted[0][0]
-    t1 = accepted[-1][0] + accepted[-1][1]
+    t0, t1 = ts[0], ts[-1] + hs[-1]
     edges = np.linspace(t0, t1, bins + 1)
     idx = np.minimum(((ts - t0) / (t1 - t0) * bins).astype(int), bins - 1)
     counts = np.bincount(idx, minlength=bins)
