@@ -327,6 +327,10 @@ def cmd_dopri_trace(args):
     trace.write_csv(os.path.join(out, "dopri_trace.csv"))
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
+    if args.atol == args.rtol:
+        tolerances = f"atol=rtol={args.atol:g}"
+    else:
+        tolerances = f"atol={args.atol:g}, rtol={args.rtol:g}"
     svg.line_chart(
         os.path.join(out, "dopri_steps.svg"),
         [
@@ -334,7 +338,7 @@ def cmd_dopri_trace(args):
              "y": [h for _, h in summary.accepted]},
             {"label": "bin mean", "x": list(centers), "y": list(summary.mean_h)},
         ],
-        title=f"DOPRI5 step sizes (atol=rtol={args.atol:g})", xlabel="t", ylabel="h",
+        title=f"DOPRI5 step sizes ({tolerances})", xlabel="t", ylabel="h",
     )
     print(f"accepted {len(summary.accepted)}, rejected {trace.n_rejected}, NFE {trace.nfe_total}")
     for lo, hi, c, mh in zip(summary.bin_edges[:-1], summary.bin_edges[1:],

@@ -106,6 +106,7 @@ class MlpParams:
             for i in range(config.n_blocks)
         ]
         self.w_out, self.b_out = views["out.w"], views["out.b"]
+        self._buffers = None
 
     def named(self):
         """(name, array) pairs in a fixed canonical order."""
@@ -119,14 +120,30 @@ class MlpParams:
             name = next(name for name, arr in self._named if not np.isfinite(arr).all())
             raise ValueError(f"non-finite values in parameter tensor {name!r}")
 
+    def _forward_buffers(self, n):
+        """:func:`forward`'s work arrays for n rows (the input rows, four
+        n x hidden floats, an n x hidden mask), kept for the latest n only."""
+        if self._buffers is None or len(self._buffers[0]) != n:
+            cfg = self.config
+            self._buffers = (np.empty((n, cfg.data_dim + cfg.time_embed_dim)),
+                             *(np.empty((n, cfg.hidden)) for _ in range(4)),
+                             np.empty((n, cfg.hidden), dtype=bool))
+        return self._buffers
+
 
 # ---------------------------------------------------------------------------
 # primitives
 
-def _sigmoid(x):
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp(-|x|) never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x, out=None, denom=None, mask=None):
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp(-|x|) never overflows.
+    # Given x-shaped ``out``, ``denom`` and bool ``mask``, allocates nothing
+    # and returns ``out``.
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = np.add(1.0, e, out=denom)
+    np.putmask(e, np.greater_equal(x, 0.0, out=mask), 1.0)
+    return np.divide(e, denom, out=e)
 
 
 def _time_frequencies(dim):
@@ -154,12 +171,20 @@ def time_embed(t, dim):
     return out
 
 
-def _layernorm_forward(a, gamma, beta):
-    centered = a - a.mean(axis=1, keepdims=True)
-    var = (centered**2).mean(axis=1, keepdims=True)
+def _layernorm_forward(a, gamma, beta, out=None, scratch=None):
+    """Row-wise LayerNorm; returns (gamma * xhat + beta, xhat, inv_std).
+
+    Given a-shaped ``out`` (which may be ``a`` itself) and ``scratch``, the
+    only arrays allocated are n x 1; xhat then shares ``out`` and has been
+    overwritten by the result, which is all :func:`forward` reads.
+    """
+    centered = np.subtract(a, a.mean(axis=1, keepdims=True), out=out)
+    var = np.square(centered, out=scratch).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = centered * inv_std
-    return gamma * xhat + beta, xhat, inv_std
+    xhat = np.multiply(centered, inv_std, out=centered)
+    y = np.multiply(xhat, gamma, out=out)
+    y += beta
+    return y, xhat, inv_std
 
 
 def _layernorm_backward(dout, xhat, inv_std, gamma):
@@ -177,11 +202,15 @@ def _layernorm_backward(dout, xhat, inv_std, gamma):
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _forward_cached(params, x, t):
-    cfg = params.config
+def _input_rows(cfg, x, t, out=None):
+    """The rows [x, time_embed(t)] the input projection reads."""
     # a scalar t (every sampling call) embeds once and is shared by the rows
     emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (x.shape[0], cfg.time_embed_dim))
-    z = np.concatenate([x, emb], axis=1)
+    return np.concatenate([x, emb], axis=1, out=out)
+
+
+def _forward_cached(params, x, t):
+    z = _input_rows(params.config, x, t)
     h = z @ params.w_in + params.b_in
     caches = []
     for blk in params.blocks:
@@ -195,18 +224,49 @@ def _forward_cached(params, x, t):
     return v, (z, h, caches)
 
 
+def _forward_in_place(params, x, t):
+    z, h, a, tmp, denom, mask = params._forward_buffers(x.shape[0])
+    _input_rows(params.config, x, t, out=z)
+    np.matmul(z, params.w_in, out=h)
+    h += params.b_in
+    for blk in params.blocks:
+        np.matmul(h, blk.w1, out=a)
+        a += blk.b1
+        _layernorm_forward(a, blk.gamma, blk.beta, out=a, scratch=tmp)
+        a *= _sigmoid(a, out=tmp, denom=denom, mask=mask)  # silu
+        h += np.matmul(a, blk.w2, out=tmp)
+        h += blk.b2
+    v = h @ params.w_out
+    v += params.b_out
+    return v
+
+
 def forward(params, x, t):
-    """Velocity batch v(x, t); same shape as x.
+    """Velocity batch v(x, t); a new array of the shape of x.
 
     ``t`` is a scalar shared by the batch or a per-row vector.  Times
     slightly outside [0, 1] are accepted (adaptive solvers probe past the
     endpoints).  Raises ValueError if any parameter tensor is non-finite.
+
+    Computes the floats of :func:`_forward_cached` in the same order but
+    keeps no backward cache: the blocks work in place in buffers ``params``
+    holds for the latest row count, so a model must not be evaluated from
+    two threads at once.  A non-finite parameter always makes the output
+    non-finite or raises a floating-point error, and only then are the
+    parameters scanned, to name it; with finite parameters the pass reruns
+    under the caller's ``np.errstate``, which reports an input overflow.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.data_dim:
         raise ValueError(f"expected batch of shape (n, {params.config.data_dim}), got {x.shape}")
-    params.check_finite()
-    v, _ = _forward_cached(params, x, t)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            v = _forward_in_place(params, x, t)
+    except FloatingPointError:
+        params.check_finite()
+        v = _forward_in_place(params, x, t)
+    if not (v.size and np.isfinite(v).all()):
+        params.check_finite()
     return v
 
 

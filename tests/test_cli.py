@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -303,6 +304,19 @@ class TestDopriTraceCmd:
         assert sum(accepted_h) == pytest.approx(1.0, abs=1e-9)
         assert all(r[2] != "" for r in rows)  # adaptive traces carry err
         assert (out / "dopri_steps.svg").exists()
+
+    @pytest.mark.parametrize("atol, rtol, expected", [
+        ("1e-3", "1e-3", "DOPRI5 step sizes (atol=rtol=0.001)"),
+        ("1e-3", "1e-7", "DOPRI5 step sizes (atol=0.001, rtol=1e-07)"),
+    ])
+    def test_title_names_both_tolerances(self, trained, atol, rtol, expected):
+        workspace, model = trained
+        out = workspace / "dt"
+        assert cli.main(["dopri-trace", "--model", str(model), "--n", "8",
+                         "--atol", atol, "--rtol", rtol, "--out", str(out)]) == 0
+        root = ET.parse(out / "dopri_steps.svg").getroot()
+        texts = root.findall("{http://www.w3.org/2000/svg}text")
+        assert [el.text for el in texts if el.get("font-size") == "13"] == [expected]
 
 
 def _edited(doc, path, edit):

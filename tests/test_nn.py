@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +113,62 @@ class TestForward:
         params.blocks[0].w1[0, 0] = np.nan
         with pytest.raises(ValueError, match="block0.w1"):
             nn.forward(params, x, t)
+        with pytest.raises(ValueError, match="block0.w1"):  # no output row to poison
+            nn.forward(params, x[:0], t[:0])
+
+    @pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [name for name, _ in nn.MlpParams(TINY).named()])
+    def test_non_finite_param_named(self, name, bad, per_row_t):
+        params, x, t, _ = tiny_setup()
+        dict(params.named())[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"tensor '{re.escape(name)}'"):
+            nn.forward(params, x, t if per_row_t else 0.5)
+
+    def test_overflow_from_extreme_inputs_still_warns(self):
+        # finite parameters: the overflow comes from the input and is
+        # reported under the caller's error handling, with the usual output
+        params, _, _, _ = tiny_setup()
+        x = np.array([[1e200, -1e200], [0.1, 0.2]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            v = nn.forward(params, x, 0.9)
+        with np.errstate(over="ignore"):
+            assert v.tobytes() == nn._forward_cached(params, x, 0.9)[0].tobytes()
+
+    def test_matches_cached_forward_bit_for_bit(self):
+        # forward reuses per-model buffers; every result must equal the
+        # training path's and stay intact after later calls
+        for cfg, seed in ((TINY, 3), (nn.MlpConfig(data_dim=3, hidden=16, n_blocks=2,
+                                                    time_embed_dim=6), 4)):
+            rng = Rng(seed)
+            params = nn.init_params(cfg, rng)
+            params.flat[...] += 0.1 * rng.normal(size=params.flat.shape)
+            results = []
+            for i, n in enumerate((7, 3, 7, 7)):
+                x = rng.normal(size=(n, cfg.data_dim))
+                t = rng.uniform(size=n) if i % 2 else float(rng.uniform(size=1)[0])
+                x_before = x.copy()
+                x.setflags(write=False)
+                v = nn.forward(params, x, t)
+                assert v.tobytes() == nn._forward_cached(params, x, t)[0].tobytes()
+                assert np.array_equal(x, x_before)
+                results.append((v, v.copy()))
+            assert all(np.array_equal(v, kept) for v, kept in results)
+
+    def test_repeat_call_allocates_less_than_one_hidden_array(self):
+        cfg = nn.MlpConfig(data_dim=2, hidden=64, n_blocks=2)
+        rng = Rng(6)
+        params = nn.init_params(cfg, rng)
+        params.w_out[...] = rng.normal(size=params.w_out.shape)
+        x = rng.normal(size=(512, 2))
+        nn.forward(params, x, 0.3)  # sizes the buffers for 512 rows
+        tracemalloc.start()
+        try:
+            nn.forward(params, x, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 64 * 8
 
     def test_wrong_dim_rejected(self):
         params, _, _, _ = tiny_setup()
