@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,10 @@ class TestBatches:
             tiny_config(batch_size=0)
 
 
+# sha256 of the parameters and loss curve of TestTrain.test_train_pinned's model
+TRAIN_DIGEST = "b0268a360ec306f55387a68314906bce8d2bdbedbed4d4eca7157c1ad6d8bfad"
+
+
 class TestTrain:
     def test_loss_decreases_on_moons(self):
         model = cfm.train(tiny_config(seed=1, epochs=30, n=1024, batch_size=256,
@@ -75,6 +81,16 @@ class TestTrain:
         a = cfm.train(tiny_config(seed=1, epochs=2))
         b = cfm.train(tiny_config(seed=2, epochs=2))
         assert a.loss_curve != b.loss_curve
+
+    def test_train_pinned(self):
+        # 3 epochs over 160 points: two 64-row batches and a 32-row one;
+        # values with 10 decimals as in test_generate_pinned, a rounded zero
+        # without its sign
+        model = cfm.train(tiny_config(seed=7, epochs=3, n=160,
+                                      mlp={"hidden": 8, "n_blocks": 2, "time_embed_dim": 4}))
+        text = ",".join(f"{v:.10f}" for v in [*model.params.flat, *model.loss_curve])
+        text = text.replace("-0.0000000000", "0.0000000000")
+        assert hashlib.sha256(text.encode()).hexdigest() == TRAIN_DIGEST
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts_with_location(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -48,6 +49,70 @@ def max_rel_error(grads, fd):
         denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-8)
         worst = max(worst, float(np.max(np.abs(g - f) / denom)))
     return worst
+
+
+def digest(*arrays):
+    """sha256 of the values written with 10 decimals, as in
+    test_generate_pinned: BLAS kernels differ in the last bits between
+    CPUs, while 10 decimals still pin every float operation that matters.
+    A rounded zero is written without its sign."""
+    text = ",".join(f"{v:.10f}" for a in arrays for v in np.ravel(a))
+    return hashlib.sha256(text.replace("-0.0000000000", "0.0000000000").encode()).hexdigest()
+
+
+# (config, seed) of the pinned networks; each is perturbed off its init so
+# every tensor, the zeroed output layer included, shapes the output
+PINNED = {
+    "tiny": (TINY, 3),
+    "3d-16x2": (nn.MlpConfig(data_dim=3, hidden=16, n_blocks=2, time_embed_dim=6), 4),
+    "2d-32x3": (nn.MlpConfig(data_dim=2, hidden=32, n_blocks=3, time_embed_dim=8), 5),
+}
+
+
+def pinned_setup(key):
+    cfg, seed = PINNED[key]
+    rng = Rng(seed)
+    params = nn.init_params(cfg, rng)
+    params.flat[...] += 0.1 * rng.normal(size=params.flat.shape)
+    # row counts 7/3/256/208, scalar and per-row times alternating
+    batches = []
+    for i, n in enumerate((7, 3, 256, 208)):
+        x = rng.normal(size=(n, cfg.data_dim))
+        t = rng.uniform(size=n) if i % 2 else float(rng.uniform(size=1)[0])
+        batches.append((x, t, rng.normal(size=(n, cfg.data_dim))))
+    return params, batches
+
+
+# sha256 (see digest) of forward over the four batches of pinned_setup
+FORWARD_DIGESTS = {
+    "tiny": "1885db318ebbdd23953c4f6458c60835ba2c0ca333cda4098af2f9417f9e9695",
+    "3d-16x2": "f101d6c292b6e7ee7b656dceb786c5986982a2aed81cded264d835b89583235d",
+    "2d-32x3": "20559f89b165131c4852be01dae708758d4a4995738b9c8ac3b3de7f62170ec0",
+}
+
+# ... and of each batch's loss followed by its flat gradient
+LOSS_AND_GRAD_DIGESTS = {
+    "tiny": "b37d6e584567e58b4a5c2a0c45ca03692fed5d7e42411f3377e2460961ab27f7",
+    "3d-16x2": "ef5d77eac287083a24518473f187ab44e0b3688cdcf6119a9c102136f2b7ee18",
+    "2d-32x3": "bb271aec60e8870872b87833c1ca0295097f896c5830079e368e690e842a75eb",
+}
+
+
+@pytest.mark.parametrize("key", PINNED)
+def test_forward_pinned(key):
+    params, batches = pinned_setup(key)
+    outputs = [nn.forward(params, x, t).copy() for x, t, _ in batches]
+    assert digest(*outputs) == FORWARD_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", PINNED)
+def test_loss_and_grad_pinned(key):
+    params, batches = pinned_setup(key)
+    values = []
+    for x, t, u in batches:
+        loss, grads = nn.loss_and_grad(params, x, t, u)
+        values += [loss, grads.flat]
+    assert digest(*values) == LOSS_AND_GRAD_DIGESTS[key]
 
 
 class TestTimeEmbed:
@@ -224,6 +289,14 @@ class TestLossAndGrad:
         params, x, t, _ = tiny_setup()
         with pytest.raises(ValueError):
             nn.loss_and_grad(params, x, t, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [name for name, _ in nn.MlpParams(TINY).named()])
+    def test_non_finite_param_named(self, name, bad):
+        params, x, t, u = tiny_setup()
+        dict(params.named())[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"tensor '{re.escape(name)}'"):
+            nn.loss_and_grad(params, x, t, u)
 
 
 class TestLayerPrimitives:
