@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cfm, nn
+from . import cfm
 from .data import generate
 from .numeric import cond2x2, eig2x2, gaussian_sample
 from .ode import EULER, IntegrationError, VectorField, integrate_fixed, rk_step
@@ -200,17 +200,11 @@ def jacobian_fd(field, x, t):
     return _central_differences(lambda t, xs: field(t, xs[0])[None, :], x[None, :], t)[0]
 
 
-def _jacobians_batched(params, x, t):
-    """Central-difference Jacobians of the network for every row of x at a
-    shared time: all rows go through one stacked forward call per
-    sign/column, so the network is invoked 4 times instead of 4n."""
-    return _central_differences(lambda t, xs: nn.forward(params, xs, t), x, t)
-
-
 def _central_differences(batched_field, x, t):
     """(n, 2, 2) Jacobians at the rows of x of a field mapping an (n, 2)
     batch to (n, 2) velocities, with the per-row, per-column eps of
-    :func:`jacobian_fd`."""
+    :func:`jacobian_fd`: all rows go through one call per sign and column,
+    so the field is evaluated 4 times instead of 4n."""
     jac = np.empty((x.shape[0], 2, 2))
     for j in range(2):
         eps = 1e-4 * (1.0 + np.abs(x[:, j]))
@@ -261,7 +255,7 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     f = cfm.velocity_field(model.params)
     rows = []
     for i, t in enumerate(time_grid):
-        jac = _jacobians_batched(model.params, x, t)
+        jac = _central_differences(f, x, t)
         eig1, eig2 = eig2x2(jac)
         rows.append(
             SpectrumRow(

@@ -106,7 +106,7 @@ class MlpParams:
             for i in range(config.n_blocks)
         ]
         self.w_out, self.b_out = views["out.w"], views["out.b"]
-        self._buffers = None
+        self._buffers = None  # forward's arrays for the latest row count
 
     def named(self):
         """(name, array) pairs in a fixed canonical order."""
@@ -119,16 +119,6 @@ class MlpParams:
         if not np.isfinite(self.flat).all():
             name = next(name for name, arr in self._named if not np.isfinite(arr).all())
             raise ValueError(f"non-finite values in parameter tensor {name!r}")
-
-    def _forward_buffers(self, n):
-        """:func:`forward`'s work arrays for n rows (the input rows, four
-        n x hidden floats, an n x hidden mask), kept for the latest n only."""
-        if self._buffers is None or len(self._buffers[0]) != n:
-            cfg = self.config
-            self._buffers = (np.empty((n, cfg.data_dim + cfg.time_embed_dim)),
-                             *(np.empty((n, cfg.hidden)) for _ in range(4)),
-                             np.empty((n, cfg.hidden), dtype=bool))
-        return self._buffers
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +161,14 @@ def time_embed(t, dim):
     return out
 
 
-def _layernorm_forward(a, gamma, beta, out=None, scratch=None):
+def _layernorm_forward(a, gamma, beta, out=None, xhat=None, scratch=None):
     """Row-wise LayerNorm; returns (gamma * xhat + beta, xhat, inv_std).
 
-    Given a-shaped ``out`` (which may be ``a`` itself) and ``scratch``, the
-    only arrays allocated are n x 1; xhat then shares ``out`` and has been
-    overwritten by the result, which is all :func:`forward` reads.
+    Given a-shaped ``out``, ``xhat`` and ``scratch`` (``out`` and ``xhat``
+    may be ``a`` itself), the only arrays allocated are n x 1; an ``xhat``
+    that shares ``out`` has been overwritten by the result.
     """
-    centered = np.subtract(a, a.mean(axis=1, keepdims=True), out=out)
+    centered = np.subtract(a, a.mean(axis=1, keepdims=True), out=xhat)
     var = np.square(centered, out=scratch).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = np.multiply(centered, inv_std, out=centered)
@@ -188,57 +178,57 @@ def _layernorm_forward(a, gamma, beta, out=None, scratch=None):
 
 
 def _layernorm_backward(dout, xhat, inv_std, gamma):
-    # Exact row-wise Jacobian: the mean and variance paths contribute the
-    # two subtracted means.
+    # (da, dgamma, dbeta) by the exact row-wise Jacobian: the mean and
+    # variance paths contribute the two subtracted means.
     dxhat = dout * gamma
-    dgamma = (dout * xhat).sum(axis=0)
-    dbeta = dout.sum(axis=0)
     m1 = dxhat.mean(axis=1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    da = inv_std * (dxhat - m1 - xhat * m2)
-    return da, dgamma, dbeta
+    return inv_std * (dxhat - m1 - xhat * m2), (dout * xhat).sum(axis=0), dout.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _input_rows(cfg, x, t, out=None):
-    """The rows [x, time_embed(t)] the input projection reads."""
+def _forward(params, x, t, keep):
+    """The network pass: ``(v, (z, hs, caches))`` with the input rows z, the
+    hidden state entering each block and leaving the last, and per block
+    (g, xhat, inv_std, sig, s), which the backward pass reads.
+
+    Each operation writes into the array it is handed, a fresh one for None.
+    With ``keep`` all are None; otherwise they are five n x hidden buffers
+    ``params`` holds for the latest row count: the hidden state, one array
+    for g, xhat and s, one for sig and the w2 product, 1 + e, and a mask.
+    """
+    cfg, n = params.config, x.shape[0]
+    if keep:
+        z = h = product = denom = mask = None
+        blocks = [(None,) * 5] * cfg.n_blocks
+    else:
+        if params._buffers is None or len(params._buffers[0]) != n:
+            params._buffers = (np.empty((n, cfg.data_dim + cfg.time_embed_dim)),
+                               *(np.empty((n, cfg.hidden)) for _ in range(4)),
+                               np.empty((n, cfg.hidden), dtype=bool))
+        z, h, a, product, denom, mask = params._buffers
+        blocks = [(a, a, product, a, h)] * cfg.n_blocks
     # a scalar t (every sampling call) embeds once and is shared by the rows
-    emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (x.shape[0], cfg.time_embed_dim))
-    return np.concatenate([x, emb], axis=1, out=out)
-
-
-def _forward_cached(params, x, t):
-    z = _input_rows(params.config, x, t)
-    h = z @ params.w_in + params.b_in
-    caches = []
-    for blk in params.blocks:
-        a = h @ blk.w1 + blk.b1
-        g, xhat, inv_std = _layernorm_forward(a, blk.gamma, blk.beta)
-        sig = _sigmoid(g)
-        s = g * sig
-        caches.append((h, g, xhat, inv_std, sig, s))
-        h = h + s @ blk.w2 + blk.b2
-    v = h @ params.w_out + params.b_out
-    return v, (z, h, caches)
-
-
-def _forward_in_place(params, x, t):
-    z, h, a, tmp, denom, mask = params._forward_buffers(x.shape[0])
-    _input_rows(params.config, x, t, out=z)
-    np.matmul(z, params.w_in, out=h)
+    emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (n, cfg.time_embed_dim))
+    z = np.concatenate([x, emb], axis=1, out=z)
+    h = np.matmul(z, params.w_in, out=h)
     h += params.b_in
-    for blk in params.blocks:
-        np.matmul(h, blk.w1, out=a)
-        a += blk.b1
-        _layernorm_forward(a, blk.gamma, blk.beta, out=a, scratch=tmp)
-        a *= _sigmoid(a, out=tmp, denom=denom, mask=mask)  # silu
-        h += np.matmul(a, blk.w2, out=tmp)
+    hs, caches = [h], []
+    for blk, (g, xhat, sig, s, h_out) in zip(params.blocks, blocks):
+        g = np.matmul(h, blk.w1, out=g)
+        g += blk.b1
+        _, xhat, inv_std = _layernorm_forward(g, blk.gamma, blk.beta, out=g, xhat=xhat, scratch=sig)
+        sig = _sigmoid(g, out=sig, denom=denom, mask=mask)
+        s = np.multiply(g, sig, out=s)  # silu
+        h = np.add(h, np.matmul(s, blk.w2, out=product), out=h_out)
         h += blk.b2
+        hs.append(h)
+        caches.append((g, xhat, inv_std, sig, s))
     v = h @ params.w_out
     v += params.b_out
-    return v
+    return v, (z, hs, caches)
 
 
 def forward(params, x, t):
@@ -248,8 +238,8 @@ def forward(params, x, t):
     slightly outside [0, 1] are accepted (adaptive solvers probe past the
     endpoints).  Raises ValueError if any parameter tensor is non-finite.
 
-    Computes the floats of :func:`_forward_cached` in the same order but
-    keeps no backward cache: the blocks work in place in buffers ``params``
+    It runs the pass of :func:`loss_and_grad`, so training and inference
+    compute the same floats by construction, but in buffers ``params``
     holds for the latest row count, so a model must not be evaluated from
     two threads at once.  A non-finite parameter always makes the output
     non-finite or raises a floating-point error, and only then are the
@@ -261,10 +251,10 @@ def forward(params, x, t):
         raise ValueError(f"expected batch of shape (n, {params.config.data_dim}), got {x.shape}")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            v = _forward_in_place(params, x, t)
+            v, _ = _forward(params, x, t, keep=False)
     except FloatingPointError:
         params.check_finite()
-        v = _forward_in_place(params, x, t)
+        v, _ = _forward(params, x, t, keep=False)
     if not (v.size and np.isfinite(v).all()):
         params.check_finite()
     return v
@@ -281,25 +271,22 @@ def loss_and_grad(params, x_t, t, u_t):
     if x_t.shape != u_t.shape:
         raise ValueError(f"batch shapes disagree: {x_t.shape} vs {u_t.shape}")
     params.check_finite()
-    v, (z, h_last, caches) = _forward_cached(params, x_t, t)
+    v, (z, hs, caches) = _forward(params, x_t, t, keep=True)
     n = x_t.shape[0]
     r = v - u_t
     loss = float(np.sum(r * r) / n)
     grads = params.zeros_like()
 
     dv = (2.0 / n) * r
-    grads.w_out[...] = h_last.T @ dv
+    grads.w_out[...] = hs[-1].T @ dv
     grads.b_out[...] = dv.sum(axis=0)
     dh = dv @ params.w_out.T
-    for blk, gblk, cache in zip(params.blocks[::-1], grads.blocks[::-1], caches[::-1]):
-        h_in, g, xhat, inv_std, sig, s = cache
+    for blk, gblk, h_in, (g, xhat, inv_std, sig, s) in zip(
+            params.blocks[::-1], grads.blocks[::-1], hs[-2::-1], caches[::-1]):
         gblk.w2[...] = s.T @ dh
         gblk.b2[...] = dh.sum(axis=0)
-        ds = dh @ blk.w2.T
-        dg = ds * (sig * (1.0 + g * (1.0 - sig)))
-        da, dgamma, dbeta = _layernorm_backward(dg, xhat, inv_std, blk.gamma)
-        gblk.gamma[...] = dgamma
-        gblk.beta[...] = dbeta
+        dg = (dh @ blk.w2.T) * (sig * (1.0 + g * (1.0 - sig)))  # through silu
+        da, gblk.gamma[...], gblk.beta[...] = _layernorm_backward(dg, xhat, inv_std, blk.gamma)
         gblk.w1[...] = h_in.T @ da
         gblk.b1[...] = da.sum(axis=0)
         dh = dh + da @ blk.w1.T  # residual passthrough + branch

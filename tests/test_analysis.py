@@ -172,7 +172,7 @@ class TestJacobianFd:
     def test_batched_helper_matches_pointwise(self):
         model = tiny_model()
         x = Rng(9).normal(size=(7, 2))
-        batched = analysis._jacobians_batched(model.params, x, 0.3)
+        batched = analysis._central_differences(cfm.velocity_field(model.params), x, 0.3)
         for i in range(7):
             f = VectorField(lambda t, y: nn.forward(model.params, y[None, :], t)[0])
             assert batched[i] == pytest.approx(jacobian_fd(f, x[i], 0.3), rel=1e-9, abs=1e-12)

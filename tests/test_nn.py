@@ -198,11 +198,11 @@ class TestForward:
         with pytest.warns(RuntimeWarning, match="overflow"):
             v = nn.forward(params, x, 0.9)
         with np.errstate(over="ignore"):
-            assert v.tobytes() == nn._forward_cached(params, x, 0.9)[0].tobytes()
+            assert v.tobytes() == nn._forward(params, x, 0.9, keep=True)[0].tobytes()
 
     def test_matches_cached_forward_bit_for_bit(self):
         # forward reuses per-model buffers; every result must equal the
-        # training path's and stay intact after later calls
+        # pass in its training layout and stay intact after later calls
         for cfg, seed in ((TINY, 3), (nn.MlpConfig(data_dim=3, hidden=16, n_blocks=2,
                                                     time_embed_dim=6), 4)):
             rng = Rng(seed)
@@ -215,7 +215,7 @@ class TestForward:
                 x_before = x.copy()
                 x.setflags(write=False)
                 v = nn.forward(params, x, t)
-                assert v.tobytes() == nn._forward_cached(params, x, t)[0].tobytes()
+                assert v.tobytes() == nn._forward(params, x, t, keep=True)[0].tobytes()
                 assert np.array_equal(x, x_before)
                 results.append((v, v.copy()))
             assert all(np.array_equal(v, kept) for v, kept in results)
