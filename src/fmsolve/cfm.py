@@ -26,7 +26,7 @@ import numpy as np
 from . import nn
 from .data import DatasetSpec, generate
 from .numeric import Rng, check_field_types, check_keys, check_version, gaussian_sample
-from .ode import TABLEAUS, StepControlConfig, VectorField, integrate_dopri5, integrate_fixed
+from .ode import TABLEAUS, IntegrationError, StepControlConfig, VectorField, integrate_dopri5, integrate_fixed
 
 __all__ = [
     "TrainConfig",
@@ -247,7 +247,8 @@ def sample(model, solver, n, rng):
 
     Returns ``(points, trace)`` with points already mapped back to original
     data coordinates.  The trace covers the whole batch; its NFE counts
-    network calls, i.e. solver stages.
+    network calls, i.e. solver stages.  Raises :class:`IntegrationError`
+    when a point overflows in that map.
     """
     z0 = gaussian_sample(rng, n, model.data_dim)
     f = velocity_field(model.params)
@@ -256,7 +257,10 @@ def sample(model, solver, n, rng):
         z1, trace = integrate_dopri5(f, z0, 0.0, 1.0, cfg)
     else:
         z1, trace = integrate_fixed(f, z0, 0.0, 1.0, solver.n_steps, solver.method)
-    points = z1 * model.data_std + model.data_mean
+    with np.errstate(over="ignore"):
+        points = z1 * model.data_std + model.data_mean
+    if not np.isfinite(points).all():
+        raise IntegrationError("samples overflow in the map to data coordinates", t=1.0, y=z1)
     return points, trace
 
 

@@ -15,6 +15,7 @@ residual adds), which keeps the whole training loop free of autodiff
 frameworks and bit-reproducible.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -72,15 +73,15 @@ class BlockParams:
 
 
 def _tensor_shapes(config):
-    """(name, shape) of every parameter tensor, in the canonical order."""
+    """(name, shape) of every parameter tensor, in the canonical order,
+    generated one at a time."""
     d_in = config.data_dim + config.time_embed_dim
     h = config.hidden
     block = {"w1": (h, h), "b1": (h,), "gamma": (h,), "beta": (h,), "w2": (h, h), "b2": (h,)}
-    shapes = [("in.w", (d_in, h)), ("in.b", (h,))]
+    yield from [("in.w", (d_in, h)), ("in.b", (h,))]
     for i in range(config.n_blocks):
-        shapes += [(f"block{i}.{key}", shape) for key, shape in block.items()]
-    shapes += [("out.w", (h, config.data_dim)), ("out.b", (config.data_dim,))]
-    return shapes
+        yield from ((f"block{i}.{key}", shape) for key, shape in block.items())
+    yield from [("out.w", (h, config.data_dim)), ("out.b", (config.data_dim,))]
 
 
 class MlpParams:
@@ -93,7 +94,7 @@ class MlpParams:
     """
 
     def __init__(self, config):
-        shapes = _tensor_shapes(config)
+        shapes = list(_tensor_shapes(config))
         sizes = [math.prod(shape) for _, shape in shapes]
         self.config = config
         self.flat = np.zeros(sum(sizes))
@@ -366,19 +367,21 @@ def params_to_arrays(params):
 
 def params_from_arrays(config, arrays):
     """Inverse of :func:`params_to_arrays`; validates names and shapes, and
-    that every value is finite (the error names the first bad tensor)."""
-    params = MlpParams(config)
-    seen = set()
-    for name, arr in params.named():
+    that every value is finite (the error names the first bad tensor).
+    Nothing of the size ``config`` gives is allocated before ``arrays`` is
+    known to fill it, so a config from a file cannot outgrow the file."""
+    loaded = {}
+    # a layout longer than arrays misses a name among its first len(arrays) + 1
+    for name, shape in itertools.islice(_tensor_shapes(config), len(arrays) + 1):
         if name not in arrays:
             raise ValueError(f"missing parameter tensor {name!r}")
-        loaded = np.asarray(arrays[name], dtype=float)
-        if loaded.shape != arr.shape:
-            raise ValueError(f"shape mismatch for {name!r}: {loaded.shape} != {arr.shape}")
-        arr[...] = loaded
-        seen.add(name)
-    extra = set(arrays) - seen
+        loaded[name] = arr = np.asarray(arrays[name], dtype=float)
+        if arr.shape != shape:
+            raise ValueError(f"shape mismatch for {name!r}: {arr.shape} != {shape}")
+    extra = set(arrays) - set(loaded)
     if extra:
         raise ValueError(f"unknown parameter tensors: {sorted(extra)}")
+    params = MlpParams(config)
+    params.flat[...] = np.concatenate([arr.ravel() for arr in loaded.values()])  # named order
     params.check_finite()
     return params

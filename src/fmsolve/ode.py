@@ -248,15 +248,9 @@ class SolveTrace:
 
 
 def integrate_fixed(f, y0, t0, t1, n_steps, method):
-    """Integrate y' = f(t, y) from t0 to t1 with a uniform step size.
-
-    Parameters
-    ----------
-    f : VectorField
-    y0 : array_like, initial state of any shape; f returns slopes of the
-        same shape
-    n_steps : number of equal steps, >= 1
-    method : one of :data:`FIXED_STEP_METHODS`
+    """Integrate y' = f(t, y), a :class:`VectorField`, from t0 to t1 in
+    ``n_steps`` >= 1 equal steps of ``method``, one of
+    :data:`FIXED_STEP_METHODS`; the state y0 may have any shape.
 
     Returns ``(y_final, SolveTrace)``.  NFE is n_steps times the stage count
     of the method (1, 2 or 4).
@@ -299,6 +293,9 @@ class StepControlConfig:
         check_field_types(self)
         if not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
+        # round-off alone fails an error test this tight (solve_ivp floors rtol there)
+        if max(self.atol, self.rtol) < 100 * np.finfo(float).eps:
+            raise ValueError(f"atol={self.atol:g} and rtol={self.rtol:g} are both below 100*eps")
         # a zero step is "accepted" without advancing until max_steps runs out
         if self.h_init is not None and self.h_init <= 0:
             raise ValueError(f"h_init must be positive, got {self.h_init}")
@@ -325,7 +322,9 @@ _H_MIN_FACTOR = 16.0 * np.finfo(float).eps
 
 
 def _scaled_rms(v, scale):
-    return float(np.sqrt(np.mean((v / scale) ** 2)))
+    # a norm beyond the float range is inf: an error norm fails the step
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((v / scale) ** 2)))
 
 
 def error_norm(e, y_n, y_next, atol, rtol):
@@ -355,9 +354,9 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
     h0 = 0.01 * d0 / d1 is refined by one trial Euler step: with
     d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the guess becomes
     h = min(100*h0, (0.01 / max(d1, d2))^ORDER_EXPONENT).  An (almost) flat
-    field makes the guess infinite; the result is always clipped to the
-    interval length.  The trial costs one field evaluation unless the
-    flat-field shortcut triggers.
+    field makes the guess infinite, one whose scaled norm overflows makes
+    it 0; the result is always clipped to the interval length.  The trial
+    costs one field evaluation unless the flat-field shortcut triggers.
     """
     span = t1 - t0
     if cfg.h_init is not None:
@@ -368,6 +367,8 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
     d1 = _scaled_rms(f0, scale)
     if d1 < 1e-12:
         return span
+    if d1 == np.inf:  # no step is small enough for the heuristic
+        return 0.0
     h0 = 0.01 * d0 / d1 if d0 >= 1e-5 else 1e-6
     h0 = min(h0, span)
     f_trial = _check_finite(f(t0 + h0, y0 + h0 * f0), t0, y0, h0)
@@ -398,7 +399,8 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     :class:`IntegrationError` when cfg.max_steps attempts are exhausted, a
     stage goes non-finite, the proposed state goes non-finite ("state
     became non-finite", as in :func:`integrate_fixed`), or the step size
-    underflows (h < 16*eps*|t|, as near a finite-time blow-up).
+    underflows (h = 0 or h < 16*eps*|t|, as near a finite-time blow-up).
+    An error norm beyond the float range rejects the attempt.
 
     Returns ``(y_final, SolveTrace)``; the trace records every attempt,
     rejections included.
@@ -422,9 +424,9 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
             raise IntegrationError(
                 f"max_steps={cfg.max_steps} exhausted at t={t}, h={h}", t=t, y=y, h=h
             )
-        if h < _H_MIN_FACTOR * abs(t):
+        if h < _H_MIN_FACTOR * abs(t) or h == 0.0:
             raise IntegrationError(
-                f"step size underflow at t={t}: h={h} < 16*eps*|t|", t=t, y=y, h=h,
+                f"step size underflow at t={t}: h={h} <= 16*eps*|t|", t=t, y=y, h=h,
                 step_index=attempt,
             )
         h = min(h, t1 - t)

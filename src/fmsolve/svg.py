@@ -42,6 +42,8 @@ def _ticks_linear(lo, hi, target=5):
     v = math.ceil(lo / step) * step
     while v <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:  # the step is below the float spacing at v
+            break
         v += step
     return ticks
 
@@ -63,9 +65,16 @@ class _Scale:
 
     def __init__(self, lim, log, p0, p1, tick_markup):
         self.log = log
-        self.lo, self.hi = (math.log10(lim[0]), math.log10(lim[1])) if log else lim
-        if self.hi <= self.lo:
-            self.lo, self.hi = self.lo - 0.5, self.lo + 0.5
+        lo, hi = (math.log10(lim[0]), math.log10(lim[1])) if log else lim
+        lo, hi = np.clip([lo, hi], -np.finfo(float).max, np.finfo(float).max).tolist()
+        # values are mapped divided by unit and ticks labelled times unit: 1 where
+        # the tick layout works, else a power of two that scales the limits into [-2, 2]
+        for self.unit in (1.0, math.ldexp(1.0, math.frexp(max(abs(lo), abs(hi)))[1] - 1)):
+            self.lo, self.hi = lo / self.unit, hi / self.unit
+            if self.hi <= self.lo:
+                self.lo, self.hi = self.lo - 0.5, self.lo + 0.5
+            if (self.hi - self.lo) / 5 > 1e-323 and math.isfinite(self.hi + 1e-9 * (self.hi - self.lo)):
+                break
         self.p0, self.p1 = p0, p1
         self.tick_markup = tick_markup
 
@@ -73,11 +82,11 @@ class _Scale:
         return self.p0 + (u - self.lo) / (self.hi - self.lo) * (self.p1 - self.p0)
 
     def __call__(self, v):
-        return self._pixel(math.log10(v) if self.log else v)
+        return self._pixel((math.log10(v) if self.log else v) / self.unit)
 
     def ticks(self):
         ticks = (_ticks_log(self.lo, self.hi) if self.log
-                 else [(t, _fmt(t)) for t in _ticks_linear(self.lo, self.hi)])
+                 else [(t, _fmt(t * self.unit)) for t in _ticks_linear(self.lo, self.hi)])
         return [self.tick_markup.format(p=self._pixel(u), q=self._pixel(u) + 3, label=label)
                 for u, label in ticks]
 

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +204,26 @@ class TestPersistence:
         cfm.save_model(cfm.train(tiny_config(seed=19, epochs=2)), p1)
         cfm.save_model(cfm.train(tiny_config(seed=19, epochs=2)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_block_count_checked_before_allocating(self, tmp_path):
+        # a file whose config names 10**4 blocks but holds one: rejected
+        # before a 10**4-block layout (12.8 MB at width 8) is built; 10**5
+        # blocks took 3.4 s and 10**30 never finished
+        model = cfm.train(tiny_config(seed=17, epochs=1,
+                                      mlp={"hidden": 8, "n_blocks": 1, "time_embed_dim": 4}))
+        path = tmp_path / "model.json"
+        cfm.save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["mlp"]["n_blocks"] = 10**4
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="missing parameter tensor 'block1.w1'"):
+                cfm.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_version_check(self, tmp_path):
         model = cfm.train(tiny_config(seed=17, epochs=1))

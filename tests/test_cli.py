@@ -416,6 +416,10 @@ MALFORMED_INPUT = {
         ws, lambda d: d["train"].update(lr=float("inf"))),
     "model-param-nan": lambda ws, model: _model_argv(
         ws, model, lambda d: d["params"]["block0.w1"][0].__setitem__(0, float("nan"))),
+    "model-blocks-beyond-the-file": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["config"]["mlp"].update(n_blocks=10**5)),
+    "tolerances-below-round-off": lambda ws, model: ["sample", "--model", str(model),
+        "--solver", "dopri5", "--atol", "1e-300", "--rtol", "1e-300", "--out", str(ws / "out")],
     "benchmark-without-model": lambda ws, model: ["benchmark", "--out", str(ws / "out")],
     "benchmark-missing-model-path": lambda ws, model: [
         "benchmark", "--model", str(ws / "absent.json"), "--out", str(ws / "out")],
@@ -561,6 +565,29 @@ class TestSvgOutput:
         assert len(svgs) >= 7
         for path in svgs:
             ET.parse(path)  # raises on malformed markup
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean", [1e308, 1e16], ids=["mean-1e308", "mean-1e16"])
+    def test_samples_at_a_large_offset_render(self, mean, trained):
+        # the samples round to the offset or to its float neighbours: half a
+        # unit did not widen the axes at 1e308 (ZeroDivisionError), and the
+        # tick step at 1e16 was below the float spacing, so ticks never ended
+        workspace, model = trained
+        argv = _model_argv(workspace, model,
+                           lambda d: d["training_meta"].update(data_mean=[mean, mean]))
+        assert cli.main([*argv, "--n", "8"]) == 0
+        ET.parse(workspace / "out" / "samples.svg")
+
+    @pytest.mark.filterwarnings("error")
+    def test_samples_overflowing_the_float_range_exit_3(self, trained, capsys):
+        workspace, model = trained
+        argv = _model_argv(workspace, model, lambda d: d["training_meta"].update(
+            data_mean=[1e308, 1e308], data_std=[1e308, 1e308]))
+        capsys.readouterr()
+        assert cli.main([*argv, "--n", "8"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "overflow" in err
+        assert not (workspace / "out" / "samples.csv").exists()
 
 
 class TestDeterminism:

@@ -229,6 +229,11 @@ class TestErrorNorm:
         hi = error_norm(np.array([1.0]), np.array([0.0]), np.array([0.0]), 1.0, 1.0)
         assert lo < hi
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_inf_without_a_warning(self):
+        # (1e200 / 1e-200)^2 is past the float range
+        assert error_norm(np.array([1e200]), np.zeros(1), np.zeros(1), 1e-200, 1e-3) == np.inf
+
 
 class TestProposeStep:
     def test_controller_constants(self):
@@ -252,6 +257,18 @@ class TestProposeStep:
             StepControlConfig(atol=0.0)
         with pytest.raises(ValueError):
             StepControlConfig(rtol=-1e-5)
+
+    @pytest.mark.parametrize("atol, rtol", [(1e-300, 1e-300), (1e-20, 1e-20), (1e-14, 2e-14)])
+    def test_config_rejects_tolerances_below_round_off(self, atol, rtol):
+        # at 1e-300 the norms overflowed into a NaN first step; at 1e-20 the
+        # run spent all 100,000 attempts (600,002 NFE) before failing
+        with pytest.raises(ValueError, match="100\\*eps"):
+            StepControlConfig(atol=atol, rtol=rtol)
+
+    @pytest.mark.parametrize("atol, rtol", [(1e-8, 1e-15), (1e-15, 1e-8), (1e-300, 1e-3)])
+    def test_config_takes_one_tolerance_below_round_off(self, atol, rtol):
+        cfg = StepControlConfig(atol=atol, rtol=rtol)
+        assert (cfg.atol, cfg.rtol) == (atol, rtol)
 
     @pytest.mark.parametrize("bad", [{"h_init": 0.0}, {"h_init": -0.1}, {"max_steps": 0}])
     def test_config_rejects_runs_that_cannot_advance(self, bad):
@@ -381,6 +398,26 @@ class TestDopri5:
             integrate_dopri5(f, np.array([1.01]), 0.0, 1.0, self.CFG)
         assert f.nfe <= 2000
         assert exc_info.value.t == pytest.approx(1 / 1.01, abs=1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_error_norm_rejects_the_attempt(self):
+        # an atol-dominated norm of a field of size 1e200: every error norm
+        # overflows, so each attempt is rejected with the largest shrink
+        f = VectorField(lambda t, y: np.full_like(y, 1e200 * t**5))
+        cfg = StepControlConfig(atol=1e-8, rtol=1e-300, h_init=0.5, max_steps=10)
+        with pytest.raises(IntegrationError, match="max_steps") as exc_info:
+            integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
+        assert exc_info.value.t == 0.0
+        assert exc_info.value.h == pytest.approx(0.5 * ALPHA_MIN**10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_field_norm_stops_before_a_step(self):
+        # a field norm past the float range leaves the starting-step
+        # heuristic at 0, so no step is tried; its trial step divided by 0
+        f = VectorField(lambda t, y: np.full_like(y, 1e200))
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate_dopri5(f, ONE, 0.0, 1.0, StepControlConfig(atol=1e-8, rtol=1e-300))
+        assert f.nfe == 1
 
     def test_non_finite_stage_raises(self):
         f = VectorField(lambda t, y: y * (np.inf if t > 0.1 else -1.0))

@@ -8,6 +8,7 @@ digests independent of the BLAS build.
 
 import hashlib
 import math
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,3 +119,31 @@ def test_chart_bytes(case, tmp_path):
     path = tmp_path / "chart.svg"
     draw(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+FLOAT_MAX = np.finfo(float).max
+
+# scatter inputs at the edges of the float range, each of which broke a
+# chart before: half a unit did not widen a point at 1e308 (ZeroDivisionError),
+# a span past the largest float overflowed the tick layout, a tick step
+# below the float spacing at 1e16 never advanced, and a subnormal span
+# has no decade for its ticks
+EXTREME_POINTS = {
+    "one-point-at-1e308": [[1e308, 1e308]] * 3,
+    "span-past-float-max": [[-1.5e308, 0.0], [1.5e308, 1.0]],
+    "at-float-max": [[FLOAT_MAX, -FLOAT_MAX], [FLOAT_MAX, -FLOAT_MAX]],
+    "steps-below-spacing": [[1e16, 0.0], [1e16 + 2, 1.0]],
+    "subnormal-span": [[0.0, 0.0], [5e-324, 1e-323]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", EXTREME_POINTS)
+def test_scatter_renders_finite_points_anywhere(case, tmp_path):
+    path = tmp_path / "chart.svg"
+    svg.scatter_chart(path, np.array(EXTREME_POINTS[case]), label="p")
+    root = ET.parse(path).getroot()
+    circles = root.findall("{http://www.w3.org/2000/svg}circle")
+    assert len(circles) == len(EXTREME_POINTS[case])
+    for c in circles:  # inside the 520 x 520 frame
+        assert 0.0 <= float(c.get("cx")) <= 520.0 and 0.0 <= float(c.get("cy")) <= 520.0
