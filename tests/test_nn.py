@@ -343,6 +343,25 @@ class TestLayerPrimitives:
         fd = (silu(g + eps) - silu(g - eps)) / (2 * eps)
         assert analytic == pytest.approx(fd, abs=1e-9)
 
+    @pytest.mark.parametrize("buffers", [False, True], ids=["fresh", "out-denom"])
+    def test_sigmoid_matches_reference_bit_for_bit(self, buffers):
+        # the stable logistic written out: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 745.0, -745.0, 800.0, -800.0,
+             np.inf, -np.inf, np.nan, -np.nan],
+            Rng(31).normal(size=400) * 5.0,
+        ]).reshape(-1, 2)
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        if buffers:
+            out, denom = np.empty_like(x), np.empty_like(x)
+            got = nn._sigmoid(x, out=out, denom=denom)
+            assert got is out
+        else:
+            got = nn._sigmoid(x)
+        assert got.tobytes() == expected.tobytes()
+
     def test_sigmoid_stable_at_extremes(self):
         with np.errstate(over="raise"):
             v = nn._sigmoid(np.array([-np.inf, -1e4, -750.0, 750.0, 1e4, np.inf]))
@@ -379,6 +398,27 @@ class TestAdam:
         d1 = params.blocks[0].w1 - tiny_setup()[0].blocks[0].w1
         d2 = params.blocks[0].w2 - tiny_setup()[0].blocks[0].w2
         assert d1 == pytest.approx(d2)
+
+
+    @pytest.mark.parametrize("cfg", [TINY, nn.MlpConfig()], ids=["tiny", "256x4"])
+    def test_matches_whole_vector_formula_bit_for_bit(self, cfg):
+        # 546,050 entries for 256x4: the vector is not a whole number of any
+        # power-of-two chunk, and TINY's is shorter than one
+        rng = Rng(12)
+        params = nn.init_params(cfg, rng)
+        ref_p, ref_m, ref_v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state = nn.AdamState.for_params(params)
+        grads = params.zeros_like()
+        for t in range(1, 4):
+            grads.flat[...] = rng.normal(size=grads.flat.shape) * 10.0 ** (t - 2)
+            nn.adam_update(params, grads, state, lr=3e-3)
+            g = grads.flat
+            ref_m = ref_m * 0.9 + (1.0 - 0.9) * g
+            ref_v = ref_v * 0.999 + (1.0 - 0.999) * (g * g)
+            ref_p = ref_p - 3e-3 * (ref_m / (1.0 - 0.9**t)) / (np.sqrt(ref_v / (1.0 - 0.999**t)) + 1e-8)
+        assert state.step == 3
+        for got, expected in ((params.flat, ref_p), (state.m, ref_m), (state.v, ref_v)):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestInitAndPersistence:
