@@ -125,16 +125,16 @@ class MlpParams:
 # ---------------------------------------------------------------------------
 # primitives
 
-def _sigmoid(x, out=None, denom=None, mask=None):
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp(-|x|) never overflows.
-    # Given x-shaped ``out``, ``denom`` and bool ``mask``, allocates nothing
-    # and returns ``out``.
+def _sigmoid(x, out=None, denom=None):
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp(-|x|) never overflows,
+    # and the numerator max(e, copysign(1, x)) needs no branch.  Given x-shaped
+    # ``out`` and ``denom``, allocates nothing and returns ``out``.
     e = np.abs(x, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    denom = np.add(1.0, e, out=denom)
-    np.putmask(e, np.greater_equal(x, 0.0, out=mask), 1.0)
-    return np.divide(e, denom, out=e)
+    numer = np.maximum(e, np.copysign(1.0, x, out=denom), out=denom)
+    e += 1.0
+    return np.divide(numer, e, out=e)
 
 
 def _time_frequencies(dim):
@@ -178,13 +178,19 @@ def _layernorm_forward(a, gamma, beta, out=None, xhat=None, scratch=None):
     return y, xhat, inv_std
 
 
-def _layernorm_backward(dout, xhat, inv_std, gamma):
-    # (da, dgamma, dbeta) by the exact row-wise Jacobian: the mean and
-    # variance paths contribute the two subtracted means.
-    dxhat = dout * gamma
+def _layernorm_backward(dout, xhat, inv_std, gamma, da=None, dgamma=None, dbeta=None,
+                        scratch=None):
+    # (da, dgamma, dbeta) by the exact row-wise Jacobian: the mean and variance
+    # paths contribute the two subtracted means.  Each goes into the array handed
+    # for it (``da`` may be ``dout``), temporaries into ``scratch``; None: fresh.
+    dgamma = np.sum(np.multiply(dout, xhat, out=scratch), axis=0, out=dgamma)
+    dbeta = np.sum(dout, axis=0, out=dbeta)
+    dxhat = np.multiply(dout, gamma, out=da)
     m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    return inv_std * (dxhat - m1 - xhat * m2), (dout * xhat).sum(axis=0), dout.sum(axis=0)
+    m2 = np.multiply(dxhat, xhat, out=scratch).mean(axis=1, keepdims=True)
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=scratch)
+    return np.multiply(inv_std, dxhat, out=dxhat), dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +202,20 @@ def _forward(params, x, t, keep):
     (g, xhat, inv_std, sig, s), which the backward pass reads.
 
     Each operation writes into the array it is handed, a fresh one for None.
-    With ``keep`` all are None; otherwise they are five n x hidden buffers
-    ``params`` holds for the latest row count: the hidden state, one array
-    for g, xhat and s, one for sig and the w2 product, 1 + e, and a mask.
+    With ``keep`` each block's are None, beside two scratch arrays of this
+    call; otherwise all are four n x hidden buffers ``params`` holds for the
+    latest row count: the hidden state, one array for g, xhat and s, one for
+    sig and the w2 product, and the scratch.
     """
     cfg, n = params.config, x.shape[0]
     if keep:
-        z = h = product = denom = mask = None
+        z, h, product, denom = None, None, *np.empty((2, n, cfg.hidden))
         blocks = [(None,) * 5] * cfg.n_blocks
     else:
         if params._buffers is None or len(params._buffers[0]) != n:
             params._buffers = (np.empty((n, cfg.data_dim + cfg.time_embed_dim)),
-                               *(np.empty((n, cfg.hidden)) for _ in range(4)),
-                               np.empty((n, cfg.hidden), dtype=bool))
-        z, h, a, product, denom, mask = params._buffers
+                               *(np.empty((n, cfg.hidden)) for _ in range(4)))
+        z, h, a, product, denom = params._buffers
         blocks = [(a, a, product, a, h)] * cfg.n_blocks
     # a scalar t (every sampling call) embeds once and is shared by the rows
     emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (n, cfg.time_embed_dim))
@@ -220,8 +226,8 @@ def _forward(params, x, t, keep):
     for blk, (g, xhat, sig, s, h_out) in zip(params.blocks, blocks):
         g = np.matmul(h, blk.w1, out=g)
         g += blk.b1
-        _, xhat, inv_std = _layernorm_forward(g, blk.gamma, blk.beta, out=g, xhat=xhat, scratch=sig)
-        sig = _sigmoid(g, out=sig, denom=denom, mask=mask)
+        _, xhat, inv_std = _layernorm_forward(g, blk.gamma, blk.beta, out=g, xhat=xhat, scratch=denom)
+        sig = _sigmoid(g, out=sig, denom=denom)
         s = np.multiply(g, sig, out=s)  # silu
         h = np.add(h, np.matmul(s, blk.w2, out=product), out=h_out)
         h += blk.b2
@@ -230,6 +236,21 @@ def _forward(params, x, t, keep):
     v = h @ params.w_out
     v += params.b_out
     return v, (z, hs, caches)
+
+
+def _guarded(params, run, finite):
+    """``run()`` with float errors raised; only if one is, or ``finite``
+    rejects the result, are the parameters scanned to name a non-finite one.
+    With finite parameters a raising run reruns under the caller's errstate."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = run()
+    except FloatingPointError:
+        params.check_finite()
+        result = run()
+    if not finite(result):
+        params.check_finite()
+    return result
 
 
 def forward(params, x, t):
@@ -244,34 +265,33 @@ def forward(params, x, t):
     holds for the latest row count, so a model must not be evaluated from
     two threads at once.  A non-finite parameter always makes the output
     non-finite or raises a floating-point error, and only then are the
-    parameters scanned, to name it; with finite parameters the pass reruns
-    under the caller's ``np.errstate``, which reports an input overflow.
+    parameters scanned (see :func:`_guarded`).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.data_dim:
         raise ValueError(f"expected batch of shape (n, {params.config.data_dim}), got {x.shape}")
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            v, _ = _forward(params, x, t, keep=False)
-    except FloatingPointError:
-        params.check_finite()
-        v, _ = _forward(params, x, t, keep=False)
-    if not (v.size and np.isfinite(v).all()):
-        params.check_finite()
-    return v
+    return _guarded(params, lambda: _forward(params, x, t, keep=False)[0],
+                    lambda v: v.size and np.isfinite(v).all())
 
 
 def loss_and_grad(params, x_t, t, u_t):
     """Mean squared velocity-regression loss and its parameter gradients.
 
     loss = mean over rows of || v(x_t, t) - u_t ||^2.  Returns the scalar
-    loss and an :class:`MlpParams`-shaped gradient structure.
+    loss and an :class:`MlpParams`-shaped gradient structure.  Raises
+    ValueError if a parameter tensor is non-finite, scanned for as in forward.
     """
     x_t = np.asarray(x_t, dtype=float)
     u_t = np.asarray(u_t, dtype=float)
     if x_t.shape != u_t.shape:
         raise ValueError(f"batch shapes disagree: {x_t.shape} vs {u_t.shape}")
-    params.check_finite()
+    return _guarded(params, lambda: _loss_and_grad(params, x_t, t, u_t),
+                    lambda result: np.isfinite(result[0]))
+
+
+def _loss_and_grad(params, x_t, t, u_t):
+    # The backward pass writes each gradient into its view of grads.flat, and
+    # its n x hidden temporaries into a block's cached s, sig and g once dead.
     v, (z, hs, caches) = _forward(params, x_t, t, keep=True)
     n = x_t.shape[0]
     r = v - u_t
@@ -279,20 +299,23 @@ def loss_and_grad(params, x_t, t, u_t):
     grads = params.zeros_like()
 
     dv = (2.0 / n) * r
-    grads.w_out[...] = hs[-1].T @ dv
-    grads.b_out[...] = dv.sum(axis=0)
+    np.matmul(hs[-1].T, dv, out=grads.w_out)
+    np.sum(dv, axis=0, out=grads.b_out)
     dh = dv @ params.w_out.T
     for blk, gblk, h_in, (g, xhat, inv_std, sig, s) in zip(
             params.blocks[::-1], grads.blocks[::-1], hs[-2::-1], caches[::-1]):
-        gblk.w2[...] = s.T @ dh
-        gblk.b2[...] = dh.sum(axis=0)
-        dg = (dh @ blk.w2.T) * (sig * (1.0 + g * (1.0 - sig)))  # through silu
-        da, gblk.gamma[...], gblk.beta[...] = _layernorm_backward(dg, xhat, inv_std, blk.gamma)
-        gblk.w1[...] = h_in.T @ da
-        gblk.b1[...] = da.sum(axis=0)
-        dh = dh + da @ blk.w1.T  # residual passthrough + branch
-    grads.w_in[...] = z.T @ dh
-    grads.b_in[...] = dh.sum(axis=0)
+        np.matmul(s.T, dh, out=gblk.w2)
+        np.sum(dh, axis=0, out=gblk.b2)
+        dsilu = np.multiply(g, np.subtract(1.0, sig, out=s), out=s)  # sig * (1 + g * (1 - sig))
+        dsilu = np.multiply(sig, np.add(1.0, dsilu, out=s), out=s)
+        dg = np.multiply(np.matmul(dh, blk.w2.T, out=g), dsilu, out=g)
+        da, _, _ = _layernorm_backward(dg, xhat, inv_std, blk.gamma, da=dg,
+                                       dgamma=gblk.gamma, dbeta=gblk.beta, scratch=sig)
+        np.matmul(h_in.T, da, out=gblk.w1)
+        np.sum(da, axis=0, out=gblk.b1)
+        dh += np.matmul(da, blk.w1.T, out=s)  # residual passthrough + branch
+    np.matmul(z.T, dh, out=grads.w_in)
+    np.sum(dh, axis=0, out=grads.b_in)
     return loss, grads
 
 
@@ -338,23 +361,29 @@ class AdamState:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_ADAM_CHUNK = 2**15  # entries updated at a time, in two scratch arrays this long
 
 
 def adam_update(params, grads, state, lr):
     """One bias-corrected Adam step (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Mutates ``params`` and ``state`` in place.
+    Mutates ``params`` and ``state`` in place, a chunk at a time, in the float
+    operations of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
     """
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    g, m, v = grads.flat, state.m, state.v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    scratch = np.empty((2, min(_ADAM_CHUNK, params.flat.size)))
+    for lo in range(0, params.flat.size, _ADAM_CHUNK):
+        p, g, m, v = (a[lo:lo + _ADAM_CHUNK] for a in (params.flat, grads.flat, state.m, state.v))
+        a, b = scratch[:, :p.size]
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
+        denom = np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
+        p -= np.divide(np.multiply(lr, np.divide(m, c1, out=a), out=a), denom, out=a)
 
 
 # ---------------------------------------------------------------------------

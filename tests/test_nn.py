@@ -51,6 +51,24 @@ def max_rel_error(grads, fd):
     return worst
 
 
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def default_setup(n=256):
+    """The 256x4 default network with a nonzero output layer, and a batch."""
+    rng = Rng(13)
+    params = nn.init_params(nn.MlpConfig(), rng)
+    params.w_out[...] = rng.normal(size=params.w_out.shape) * 0.1
+    return params, rng.normal(size=(n, 2)), rng.uniform(size=n), rng.normal(size=(n, 2))
+
+
 def digest(*arrays):
     """sha256 of the values written with 10 decimals, as in
     test_generate_pinned: BLAS kernels differ in the last bits between
@@ -290,6 +308,15 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             nn.loss_and_grad(params, x, t, np.zeros((2, 2)))
 
+    def test_allocates_little_beyond_its_activations_and_gradients(self):
+        # one fresh gradient vector, each block's five kept n x hidden arrays
+        # (its input h, g, xhat, sig and s) and four more: the hidden state
+        # the last block leaves, the two scratch arrays of the pass and dh
+        params, x, t, u = default_setup()
+        n, cfg = x.shape[0], params.config
+        bound = params.flat.nbytes + (5 * cfg.n_blocks + 4) * n * cfg.hidden * 8
+        assert traced_peak(nn.loss_and_grad, params, x, t, u) < bound
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", [name for name, _ in nn.MlpParams(TINY).named()])
     def test_non_finite_param_named(self, name, bad):
@@ -402,8 +429,8 @@ class TestAdam:
 
     @pytest.mark.parametrize("cfg", [TINY, nn.MlpConfig()], ids=["tiny", "256x4"])
     def test_matches_whole_vector_formula_bit_for_bit(self, cfg):
-        # 546,050 entries for 256x4: the vector is not a whole number of any
-        # power-of-two chunk, and TINY's is shorter than one
+        # 256x4 has 546,050 = 2 * 273,025 entries, so no power-of-two chunk
+        # from 4 up divides its vector; TINY's is shorter than one chunk
         rng = Rng(12)
         params = nn.init_params(cfg, rng)
         ref_p, ref_m, ref_v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
@@ -419,6 +446,12 @@ class TestAdam:
         assert state.step == 3
         for got, expected in ((params.flat, ref_p), (state.m, ref_m), (state.v, ref_v)):
             assert got.tobytes() == expected.tobytes()
+
+    def test_allocates_less_than_half_the_flat_vector(self):
+        params, x, t, u = default_setup()
+        _, grads = nn.loss_and_grad(params, x, t, u)
+        state = nn.AdamState.for_params(params)
+        assert traced_peak(nn.adam_update, params, grads, state, 1e-3) < params.flat.nbytes / 2
 
 
 class TestInitAndPersistence:
