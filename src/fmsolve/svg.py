@@ -22,10 +22,15 @@ def _esc(text):
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt(v):
-    if v != 0 and (abs(v) < 1e-3 or abs(v) >= 1e4):
-        return f"{v:.0e}"
-    return f"{v:g}"
+def _labels(values):
+    """Tick labels: %g, or e-notation with one significant digit below 1e-3
+    and from 1e4, each given more digits until no two labels agree."""
+    for digits in range(17):  # 17 significant digits tell any two floats apart
+        labels = [f"{v:.{digits}e}" if v != 0 and (abs(v) < 1e-3 or abs(v) >= 1e4)
+                  else f"{v:.{digits + 6}g}" for v in values]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _ticks_linear(lo, hi, target=5):
@@ -55,7 +60,7 @@ def _ticks_log(lo, hi):
     if ticks:
         return [(e, f"1e{e}") for e in ticks]
     values = _ticks_linear(10.0 ** (lo - 1e-9), 10.0 ** (hi + 1e-9))
-    return [(math.log10(v), _fmt(v)) for v in values]
+    return list(zip([math.log10(v) for v in values], _labels(values)))
 
 
 class _Scale:
@@ -85,8 +90,11 @@ class _Scale:
         return self._pixel((math.log10(v) if self.log else v) / self.unit)
 
     def ticks(self):
-        ticks = (_ticks_log(self.lo, self.hi) if self.log
-                 else [(t, _fmt(t * self.unit)) for t in _ticks_linear(self.lo, self.hi)])
+        if self.log:
+            ticks = _ticks_log(self.lo, self.hi)
+        else:
+            us = _ticks_linear(self.lo, self.hi)
+            ticks = zip(us, _labels([u * self.unit for u in us]))
         return [self.tick_markup.format(p=self._pixel(u), q=self._pixel(u) + 3, label=label)
                 for u, label in ticks]
 

@@ -147,3 +147,23 @@ def test_scatter_renders_finite_points_anywhere(case, tmp_path):
     assert len(circles) == len(EXTREME_POINTS[case])
     for c in circles:  # inside the 520 x 520 frame
         assert 0.0 <= float(c.get("cx")) <= 520.0 and 0.0 <= float(c.get("cy")) <= 520.0
+
+
+# (x, y) ranges whose ticks one significant digit, or %g's six, cannot tell
+# apart: 1.2e5..1.6e5 once labelled its x ticks 1e+05, 1e+05, 1e+05, 2e+05, 2e+05
+NARROW_RANGES = {
+    "above-1e4": ((1.2e5, 1.6e5), (0.0, 1.0)),
+    "below-1e-3": ((0.0, 1.0), (1.2e-5, 1.6e-5)),
+    "past-g-digits": ((1000.0001, 1000.0005), (-3e9 - 4.0, -3e9)),
+}
+
+
+@pytest.mark.parametrize("case", NARROW_RANGES)
+def test_linear_tick_labels_are_distinct(case, tmp_path):
+    (x0, x1), (y0, y1) = NARROW_RANGES[case]
+    path = tmp_path / "chart.svg"
+    svg.scatter_chart(path, np.array([[x0, y0], [x1, y1]]), label="p")
+    texts = ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}text")
+    for anchor in ("middle", "end"):  # x ticks, then y ticks
+        labels = [t.text for t in texts if t.get("font-size") == "10" and t.get("text-anchor") == anchor]
+        assert len(labels) >= 3 and len(set(labels)) == len(labels), labels
