@@ -93,11 +93,11 @@ class MlpParams:
     operations.  A new instance is all zeros.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, _alloc=np.zeros):
         shapes = list(_tensor_shapes(config))
         sizes = [math.prod(shape) for _, shape in shapes]
         self.config = config
-        self.flat = np.zeros(sum(sizes))
+        self.flat = _alloc(sum(sizes))
         parts = np.split(self.flat, np.cumsum(sizes)[:-1])
         self._named = [(name, part.reshape(shape)) for (name, shape), part in zip(shapes, parts)]
         views = dict(self._named)
@@ -196,44 +196,64 @@ def _layernorm_backward(dout, xhat, inv_std, gamma, da=None, dgamma=None, dbeta=
 # ---------------------------------------------------------------------------
 # forward / backward
 
+_TILE_ROWS = 512  # most rows one tile of the network pass has
+
+
+def _tiles(n):
+    """Row slices of the ceil(n / _TILE_ROWS) tiles of an n-row pass, in
+    order, whose sizes differ by at most one.  With two or more tiles each
+    has at least 256 rows: the input and hidden products give the same bits
+    on any rows but a single one, which numpy sends to gemv."""
+    k = -(-n // _TILE_ROWS)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def _forward(params, x, t, keep):
     """The network pass: ``(v, (z, hs, caches))`` with the input rows z, the
     hidden state entering each block and leaving the last, and per block
     (g, xhat, inv_std, sig, s), which the backward pass reads.
 
-    Each operation writes into the array it is handed, a fresh one for None.
-    With ``keep`` each block's are None, beside two scratch arrays of this
-    call; otherwise all are four n x hidden buffers ``params`` holds for the
-    latest row count: the hidden state, one array for g, xhat and s, one for
+    The input projection and the blocks run on one tile of rows (see _tiles)
+    before the next; the output projection is one product over all rows,
+    because a row split changes its bits.  Each operation writes into the
+    rows of the array it is handed.  With ``keep`` these are n-row arrays of
+    this call, beside two tile-sized scratch arrays; otherwise ``params``
+    holds, for the latest row count, the hidden state of all n rows and four
+    tile-sized buffers: the input rows, one array for g, xhat and s, one for
     sig and the w2 product, and the scratch.
     """
     cfg, n = params.config, x.shape[0]
+    d_in, width, m = cfg.data_dim + cfg.time_embed_dim, cfg.hidden, min(n, _TILE_ROWS)
     if keep:
-        z, h, product, denom = None, None, *np.empty((2, n, cfg.hidden))
-        blocks = [(None,) * 5] * cfg.n_blocks
+        z, product, denom = np.empty((n, d_in)), *np.empty((2, m, width))
+        hs = [np.empty((n, width)) for _ in range(cfg.n_blocks + 1)]
+        caches = [[np.empty((n, w)) for w in (width, width, 1, width, width)]
+                  for _ in range(cfg.n_blocks)]
     else:
-        if params._buffers is None or len(params._buffers[0]) != n:
-            params._buffers = (np.empty((n, cfg.data_dim + cfg.time_embed_dim)),
-                               *(np.empty((n, cfg.hidden)) for _ in range(4)))
+        if params._buffers is None or len(params._buffers[1]) != n:
+            params._buffers = (np.empty((m, d_in)), np.empty((n, width)),
+                               *(np.empty((m, width)) for _ in range(3)))
         z, h, a, product, denom = params._buffers
-        blocks = [(a, a, product, a, h)] * cfg.n_blocks
+        hs = [h] * (cfg.n_blocks + 1)
+        caches = [(a, a, np.empty((m, 1)), product, a)] * cfg.n_blocks
     # a scalar t (every sampling call) embeds once and is shared by the rows
     emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (n, cfg.time_embed_dim))
-    z = np.concatenate([x, emb], axis=1, out=z)
-    h = np.matmul(z, params.w_in, out=h)
-    h += params.b_in
-    hs, caches = [h], []
-    for blk, (g, xhat, sig, s, h_out) in zip(params.blocks, blocks):
-        g = np.matmul(h, blk.w1, out=g)
-        g += blk.b1
-        _, xhat, inv_std = _layernorm_forward(g, blk.gamma, blk.beta, out=g, xhat=xhat, scratch=denom)
-        sig = _sigmoid(g, out=sig, denom=denom)
-        s = np.multiply(g, sig, out=s)  # silu
-        h = np.add(h, np.matmul(s, blk.w2, out=product), out=h_out)
-        h += blk.b2
-        hs.append(h)
-        caches.append((g, xhat, inv_std, sig, s))
-    v = h @ params.w_out
+    for rows in _tiles(n):
+        tile = slice(0, rows.stop - rows.start)
+        own = rows if keep else tile  # the rows of z and caches
+        z_rows = np.concatenate([x[rows], emb[rows]], axis=1, out=z[own])
+        h = np.matmul(z_rows, params.w_in, out=hs[0][rows])
+        h += params.b_in
+        for blk, h_out, (g, xhat, inv_std, sig, s) in zip(params.blocks, hs[1:], caches):
+            g = np.matmul(h, blk.w1, out=g[own])
+            g += blk.b1
+            _, _, inv_std[own] = _layernorm_forward(g, blk.gamma, blk.beta, out=g,
+                                                    xhat=xhat[own], scratch=denom[tile])
+            sig = _sigmoid(g, out=sig[own], denom=denom[tile])
+            s = np.multiply(g, sig, out=s[own])  # silu
+            h = np.add(h, np.matmul(s, blk.w2, out=product[tile]), out=h_out[rows])
+            h += blk.b2
+    v = hs[-1] @ params.w_out
     v += params.b_out
     return v, (z, hs, caches)
 
@@ -289,14 +309,15 @@ def loss_and_grad(params, x_t, t, u_t):
                     lambda result: np.isfinite(result[0]))
 
 
-def _loss_and_grad(params, x_t, t, u_t):
-    # The backward pass writes each gradient into its view of grads.flat, and
-    # its n x hidden temporaries into a block's cached s, sig and g once dead.
+def _loss_and_grad(params, x_t, t, u_t, alloc=np.empty):
+    # The backward pass writes every gradient into its view of grads.flat, a
+    # vector from ``alloc`` left unfilled, and its n x hidden temporaries into
+    # a block's cached s, sig and g once dead.
     v, (z, hs, caches) = _forward(params, x_t, t, keep=True)
     n = x_t.shape[0]
     r = v - u_t
     loss = float(np.sum(r * r) / n)
-    grads = params.zeros_like()
+    grads = MlpParams(params.config, _alloc=alloc)
 
     dv = (2.0 / n) * r
     np.matmul(hs[-1].T, dv, out=grads.w_out)

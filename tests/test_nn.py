@@ -253,6 +253,45 @@ class TestForward:
             tracemalloc.stop()
         assert peak < 512 * 64 * 8
 
+    @pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
+    @pytest.mark.parametrize("n", [511, 512, 513, 1023, 1025, 2000, 2051])
+    @pytest.mark.parametrize("key", ["256x4", "3d-16x2"])
+    def test_matches_untiled_pass_bit_for_bit(self, key, n, per_row_t):
+        # the tiles must leave every product and row-wise kernel as it is on
+        # all n rows at once, here built from nn's primitives
+        if key == "256x4":
+            params, x, t, _ = default_setup(n)
+        else:
+            params, _ = pinned_setup(key)
+            rng = Rng(n)
+            x, t = rng.normal(size=(n, 3)), rng.uniform(size=n)
+        t = t if per_row_t else 0.41
+        cfg = params.config
+        emb = np.broadcast_to(nn.time_embed(t, cfg.time_embed_dim), (n, cfg.time_embed_dim))
+        h = np.concatenate([x, emb], axis=1) @ params.w_in + params.b_in
+        for blk in params.blocks:
+            g, _, _ = nn._layernorm_forward(h @ blk.w1 + blk.b1, blk.gamma, blk.beta)
+            h = h + (g * nn._sigmoid(g)) @ blk.w2 + blk.b2
+        expected = h @ params.w_out + params.b_out
+        assert nn.forward(params, x, t).tobytes() == expected.tobytes()
+
+    def test_tiles_split_rows_evenly_with_no_single_row_tile(self):
+        for n in range(1, 5001):
+            tiles = nn._tiles(n)
+            sizes = [rows.stop - rows.start for rows in tiles]
+            assert len(tiles) == -(-n // 512)
+            assert tiles[0].start == 0 and tiles[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n == 1
+
+    def test_first_call_holds_one_hidden_array_and_four_tiles(self):
+        # a sampling call: 2000 rows, one time; buffers of n rows throughout
+        # (the input rows and four hidden-width arrays) peaked at 16.8 MiB
+        params, x, _, _ = default_setup(2000)
+        bound = (2000 + 4 * 512) * params.config.hidden * 8
+        assert traced_peak(nn.forward, params, x, 0.3) < bound
+
     def test_wrong_dim_rejected(self):
         params, _, _, _ = tiny_setup()
         with pytest.raises(ValueError):
@@ -302,6 +341,14 @@ class TestLossAndGrad:
         _, grads = nn.loss_and_grad(params, x, t, u)
         fd = finite_difference_grads(params, x, t, u)
         assert max_rel_error(grads, fd) < 1e-4
+
+    @pytest.mark.parametrize("setup", [tiny_setup, default_setup], ids=["tiny", "256x4"])
+    def test_backward_writes_every_gradient_entry(self, setup):
+        # the public call hands the backward pass an uninitialized vector
+        params, x, t, u = setup()
+        loss, got = nn._loss_and_grad(params, x, t, u, lambda size: np.full(size, np.nan))
+        expected_loss, expected = nn.loss_and_grad(params, x, t, u)
+        assert loss == expected_loss and got.flat.tobytes() == expected.flat.tobytes()
 
     def test_shape_mismatch_rejected(self):
         params, x, t, _ = tiny_setup()
