@@ -213,18 +213,18 @@ def train(config):
     loop_rng = root.stream_rng(STREAM_TRAIN)
 
     n = data.shape[0]
+    workspace = nn.Workspace(params, min(n, config.batch_size))  # dropped on return
     loss_curve = []
     for epoch in range(config.epochs):
         perm = loop_rng.permutation(n)
         total = 0.0
         for step, lo in enumerate(range(0, n, config.batch_size)):
             batch = _pairs(data[perm[lo : lo + config.batch_size]], loop_rng)
-            loss, grads = nn.loss_and_grad(params, batch.x_t, batch.t, batch.u_t)
+            loss = workspace.step(params, state, batch.x_t, batch.t, batch.u_t, config.lr)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {step}", epoch=epoch, step=step
                 )
-            nn.adam_update(params, grads, state, config.lr)
             total += loss * batch.x1.shape[0]
         loss_curve.append(total / n)
     return TrainedModel(

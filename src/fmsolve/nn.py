@@ -17,7 +17,7 @@ frameworks and bit-reproducible.
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "BlockParams",
     "MlpParams",
     "AdamState",
+    "Workspace",
     "time_embed",
     "forward",
     "loss_and_grad",
@@ -72,16 +73,21 @@ class BlockParams:
     b2: np.ndarray
 
 
-def _tensor_shapes(config):
-    """(name, shape) of every parameter tensor, in the canonical order,
-    generated one at a time."""
+def _segments(config):
+    """Lists of (name, shape): the input projection, each block, the output."""
     d_in = config.data_dim + config.time_embed_dim
     h = config.hidden
     block = {"w1": (h, h), "b1": (h,), "gamma": (h,), "beta": (h,), "w2": (h, h), "b2": (h,)}
-    yield from [("in.w", (d_in, h)), ("in.b", (h,))]
+    yield [("in.w", (d_in, h)), ("in.b", (h,))]
     for i in range(config.n_blocks):
-        yield from ((f"block{i}.{key}", shape) for key, shape in block.items())
-    yield from [("out.w", (h, config.data_dim)), ("out.b", (config.data_dim,))]
+        yield [(f"block{i}.{key}", shape) for key, shape in block.items()]
+    yield [("out.w", (h, config.data_dim)), ("out.b", (config.data_dim,))]
+
+
+def _views(buf, segment):
+    """A segment's tensors as views of the leading entries of ``buf``."""
+    ends = itertools.accumulate(math.prod(shape) for _, shape in segment)
+    return [buf[end - math.prod(shape):end].reshape(shape) for (_, shape), end in zip(segment, ends)]
 
 
 class MlpParams:
@@ -90,35 +96,32 @@ class MlpParams:
     Every tensor is a named view into one contiguous float64 vector
     ``flat``, laid out in :meth:`named` order, so whole-model operations
     (copies, finiteness checks, optimizer updates) are single array
-    operations.  A new instance is all zeros.
+    operations.  ``segments`` pairs each _segments list with its slice of
+    ``flat``.  A new instance is all zeros.
     """
 
     def __init__(self, config, _alloc=np.zeros):
-        shapes = list(_tensor_shapes(config))
-        sizes = [math.prod(shape) for _, shape in shapes]
+        layout = list(_segments(config))
+        ends = list(itertools.accumulate(sum(math.prod(s) for _, s in seg) for seg in layout))
         self.config = config
-        self.flat = _alloc(sum(sizes))
-        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
-        self._named = [(name, part.reshape(shape)) for (name, shape), part in zip(shapes, parts)]
-        views = dict(self._named)
-        self.w_in, self.b_in = views["in.w"], views["in.b"]
-        self.blocks = [
-            BlockParams(**{f.name: views[f"block{i}.{f.name}"] for f in fields(BlockParams)})
-            for i in range(config.n_blocks)
-        ]
-        self.w_out, self.b_out = views["out.w"], views["out.b"]
+        self.flat = _alloc(ends[-1])
+        self.segments = [(slice(lo, end), seg) for lo, end, seg in zip([0, *ends], ends, layout)]
+        views = [_views(self.flat[s], seg) for s, seg in self.segments]
+        (self.w_in, self.b_in), *blocks, (self.w_out, self.b_out) = views
+        self.blocks = [BlockParams(*vs) for vs in blocks]
         self._buffers = None  # forward's arrays for the latest row count
 
     def named(self):
         """(name, array) pairs in a fixed canonical order."""
-        return iter(self._named)
+        return ((name, v) for s, seg in self.segments
+                for (name, _), v in zip(seg, _views(self.flat[s], seg)))
 
     def zeros_like(self):
         return MlpParams(self.config)
 
     def check_finite(self):
         if not np.isfinite(self.flat).all():
-            name = next(name for name, arr in self._named if not np.isfinite(arr).all())
+            name = next(name for name, arr in self.named() if not np.isfinite(arr).all())
             raise ValueError(f"non-finite values in parameter tensor {name!r}")
 
 
@@ -208,6 +211,14 @@ def _tiles(n):
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
+def _activations(config, rows):
+    """New (z, hs, caches, two tile-sized scratch arrays) for up to ``rows`` rows."""
+    d_in, width, blocks = config.data_dim + config.time_embed_dim, config.hidden, config.n_blocks
+    caches = [[np.empty((rows, w)) for w in (width, width, 1, width, width)] for _ in range(blocks)]
+    return (np.empty((rows, d_in)), list(np.empty((blocks + 1, rows, width))), caches,
+            *np.empty((2, min(rows, _TILE_ROWS), width)))
+
+
 def _forward(params, x, t, keep):
     """The network pass: ``(v, (z, hs, caches))`` with the input rows z, the
     hidden state entering each block and leaving the last, and per block
@@ -216,32 +227,27 @@ def _forward(params, x, t, keep):
     The input projection and the blocks run on one tile of rows (see _tiles)
     before the next; the output projection is one product over all rows,
     because a row split changes its bits.  Each operation writes into the
-    rows of the array it is handed.  With ``keep`` these are n-row arrays of
-    this call, beside two tile-sized scratch arrays; otherwise ``params``
-    holds, for the latest row count, the hidden state of all n rows and four
-    tile-sized buffers: the input rows, one array for g, xhat and s, one for
-    sig and the w2 product, and the scratch.
+    rows of the array it is handed: the leading n rows of ``keep``'s (see
+    _activations), or else of those ``params`` holds for the latest row
+    count, the hidden state of all n rows and four tile-sized buffers (input
+    rows; g, xhat and s; sig and the w2 product; scratch).
     """
     cfg, n = params.config, x.shape[0]
-    d_in, width, m = cfg.data_dim + cfg.time_embed_dim, cfg.hidden, min(n, _TILE_ROWS)
-    if keep:
-        z, product, denom = np.empty((n, d_in)), *np.empty((2, m, width))
-        hs = [np.empty((n, width)) for _ in range(cfg.n_blocks + 1)]
-        caches = [[np.empty((n, w)) for w in (width, width, 1, width, width)]
-                  for _ in range(cfg.n_blocks)]
-    else:
-        if params._buffers is None or len(params._buffers[1]) != n:
-            params._buffers = (np.empty((m, d_in)), np.empty((n, width)),
-                               *(np.empty((m, width)) for _ in range(3)))
-        z, h, a, product, denom = params._buffers
-        hs = [h] * (cfg.n_blocks + 1)
-        caches = [(a, a, np.empty((m, 1)), product, a)] * cfg.n_blocks
-    # a scalar t (every sampling call) embeds once and is shared by the rows
-    emb = np.broadcast_to(time_embed(t, cfg.time_embed_dim), (n, cfg.time_embed_dim))
+    dim, width, m = cfg.time_embed_dim, cfg.hidden, min(n, _TILE_ROWS)
+    if not keep and (params._buffers is None or len(params._buffers[1][0]) != n):
+        h, (a, product, denom) = np.empty((n, width)), np.empty((3, m, width))
+        params._buffers = (np.empty((m, cfg.data_dim + dim)), [h] * (cfg.n_blocks + 1),
+                           [(a, a, np.empty((m, 1)), product, a)] * cfg.n_blocks, product, denom)
+    z, hs, caches, product, denom = keep or params._buffers
+    z, hs, caches = z[:n], [h[:n] for h in hs], [[a[:n] for a in c] for c in caches]
+    # a scalar t (every sampling call) embeds once, per-row times by tile
+    shared = np.broadcast_to(time_embed(t, dim), (n, dim)) if np.ndim(t) == 0 else None
+    t = np.broadcast_to(t, n)
     for rows in _tiles(n):
         tile = slice(0, rows.stop - rows.start)
         own = rows if keep else tile  # the rows of z and caches
-        z_rows = np.concatenate([x[rows], emb[rows]], axis=1, out=z[own])
+        z_rows = np.concatenate([x[rows], time_embed(t[rows], dim) if shared is None
+                                 else shared[rows]], axis=1, out=z[own])
         h = np.matmul(z_rows, params.w_in, out=hs[0][rows])
         h += params.b_in
         for blk, h_out, (g, xhat, inv_std, sig, s) in zip(params.blocks, hs[1:], caches):
@@ -294,37 +300,47 @@ def forward(params, x, t):
                     lambda v: v.size and np.isfinite(v).all())
 
 
-def loss_and_grad(params, x_t, t, u_t):
+def loss_and_grad(params, x_t, t, u_t, _alloc=np.empty):
     """Mean squared velocity-regression loss and its parameter gradients.
 
     loss = mean over rows of || v(x_t, t) - u_t ||^2.  Returns the scalar
     loss and an :class:`MlpParams`-shaped gradient structure.  Raises
     ValueError if a parameter tensor is non-finite, scanned for as in forward.
     """
-    x_t = np.asarray(x_t, dtype=float)
-    u_t = np.asarray(u_t, dtype=float)
+    loss, cache, dv = _loss(params, _activations(params.config, len(x_t)), x_t, t, u_t)
+    grads = MlpParams(params.config, _alloc=_alloc)  # unfilled: the backward pass writes it all
+    _backward(params, cache, dv, lambda s: grads.flat[s], lambda s, grad: None)
+    return loss, grads
+
+
+def _loss(params, keep, x_t, t, u_t):
+    """``(loss, cache, dloss/dv)`` by :func:`_forward` into ``keep``, guarded."""
+    x_t, u_t = np.asarray(x_t, dtype=float), np.asarray(u_t, dtype=float)
     if x_t.shape != u_t.shape:
         raise ValueError(f"batch shapes disagree: {x_t.shape} vs {u_t.shape}")
-    return _guarded(params, lambda: _loss_and_grad(params, x_t, t, u_t),
-                    lambda result: np.isfinite(result[0]))
+
+    def run():
+        v, cache = _forward(params, x_t, t, keep)
+        r = v - u_t
+        return float(np.sum(r * r) / len(r)), cache, (2.0 / len(r)) * r
+    return _guarded(params, run, lambda result: np.isfinite(result[0]))
 
 
-def _loss_and_grad(params, x_t, t, u_t, alloc=np.empty):
-    # The backward pass writes every gradient into its view of grads.flat, a
-    # vector from ``alloc`` left unfilled, and its n x hidden temporaries into
-    # a block's cached s, sig and g once dead.
-    v, (z, hs, caches) = _forward(params, x_t, t, keep=True)
-    n = x_t.shape[0]
-    r = v - u_t
-    loss = float(np.sum(r * r) / n)
-    grads = MlpParams(params.config, _alloc=alloc)
-
-    dv = (2.0 / n) * r
-    np.matmul(hs[-1].T, dv, out=grads.w_out)
-    np.sum(dv, axis=0, out=grads.b_out)
-    dh = dv @ params.w_out.T
-    for blk, gblk, h_in, (g, xhat, inv_std, sig, s) in zip(
-            params.blocks[::-1], grads.blocks[::-1], hs[-2::-1], caches[::-1]):
+def _backward(params, cache, dv, target, done):
+    """The backward pass over :func:`_forward`'s cache, one parameter segment
+    at a time from the last.  The gradients of the one at slice s of the flat
+    layout go into ``grad = target(s)[:len]``, then ``done(s, grad)`` runs.
+    Temporaries go into dead activations: dh into hs[-1], the rest s, sig, g."""
+    z, hs, caches = cache
+    grads = [(s, target(s)[:s.stop - s.start]) for s, _ in params.segments]
+    views = [_views(grad, seg) for (_, grad), (_, seg) in zip(grads, params.segments)]
+    np.matmul(hs[-1].T, dv, out=views[-1][0])
+    np.sum(dv, axis=0, out=views[-1][1])
+    dh = np.matmul(dv, params.w_out.T, out=hs[-1])
+    done(*grads[-1])
+    for k, blk, h_in, (g, xhat, inv_std, sig, s) in zip(
+            range(len(params.blocks), 0, -1), params.blocks[::-1], hs[-2::-1], caches[::-1]):
+        gblk = BlockParams(*views[k])
         np.matmul(s.T, dh, out=gblk.w2)
         np.sum(dh, axis=0, out=gblk.b2)
         dsilu = np.multiply(g, np.subtract(1.0, sig, out=s), out=s)  # sig * (1 + g * (1 - sig))
@@ -335,9 +351,10 @@ def _loss_and_grad(params, x_t, t, u_t, alloc=np.empty):
         np.matmul(h_in.T, da, out=gblk.w1)
         np.sum(da, axis=0, out=gblk.b1)
         dh += np.matmul(da, blk.w1.T, out=s)  # residual passthrough + branch
-    np.matmul(z.T, dh, out=grads.w_in)
-    np.sum(dh, axis=0, out=grads.b_in)
-    return loss, grads
+        done(*grads[k])
+    np.matmul(z.T, dh, out=views[0][0])
+    np.sum(dh, axis=0, out=views[0][1])
+    done(*grads[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,29 +399,57 @@ class AdamState:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_ADAM_CHUNK = 2**15  # entries updated at a time, in two scratch arrays this long
+_ADAM_CHUNK = 2**15  # most entries updated at a time
 
 
 def adam_update(params, grads, state, lr):
     """One bias-corrected Adam step (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Mutates ``params`` and ``state`` in place, a chunk at a time, in the float
-    operations of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    Mutates ``params`` and ``state`` in place, a chunk at a time (see _adam).
     """
     state.step += 1
-    t = state.step
-    c1 = 1.0 - ADAM_BETA1**t
-    c2 = 1.0 - ADAM_BETA2**t
     scratch = np.empty((2, min(_ADAM_CHUNK, params.flat.size)))
-    for lo in range(0, params.flat.size, _ADAM_CHUNK):
-        p, g, m, v = (a[lo:lo + _ADAM_CHUNK] for a in (params.flat, grads.flat, state.m, state.v))
-        a, b = scratch[:, :p.size]
+    _adam((params.flat, grads.flat, state.m, state.v), scratch, lr, state.step)
+
+
+def _adam(segment, scratch, lr, step):
+    # Adam's update ``step`` of matching slices of the parameters, gradients
+    # and two moments, p -= lr * (m / c1) / (sqrt(v / c2) + eps), in chunks as
+    # long as the two scratch vectors; elementwise, so slicing keeps the floats
+    c1, c2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+    chunk = len(scratch[0])
+    for lo in range(0, segment[0].size, chunk):
+        p, g, m, v = (a[lo:lo + chunk] for a in segment)
+        a, b = (x[:p.size] for x in scratch)
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
         v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
         denom = np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
         p -= np.divide(np.multiply(lr, np.divide(m, c1, out=a), out=a), denom, out=a)
+
+
+class Workspace:
+    """Training steps' arrays for up to ``rows`` rows: activations, a window
+    as long as the longest parameter segment for its gradients, and as Adam's
+    scratch the two tile-sized arrays the backward pass does not read."""
+
+    def __init__(self, params, rows):
+        self.activations = _activations(params.config, rows)
+        self.window = np.empty(max(s.stop - s.start for s, _ in params.segments))
+        self.scratch = [a.reshape(-1)[:_ADAM_CHUNK] for a in self.activations[-2:]]
+
+    def step(self, params, state, x_t, t, u_t, lr):
+        """The floats of :func:`loss_and_grad` then :func:`adam_update`, but
+        Adam updates each parameter segment once the backward pass is done
+        with it; returns the loss.  A non-finite one changes nothing."""
+        loss, cache, dv = _loss(params, self.activations, x_t, t, u_t)
+        if np.isfinite(loss):
+            state.step += 1
+            _backward(params, cache, dv, lambda s: self.window,
+                      lambda s, grad: _adam((params.flat[s], grad, state.m[s], state.v[s]),
+                                            self.scratch, lr, state.step))
+        return loss
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +467,7 @@ def params_from_arrays(config, arrays):
     known to fill it, so a config from a file cannot outgrow the file."""
     loaded = {}
     # a layout longer than arrays misses a name among its first len(arrays) + 1
-    for name, shape in itertools.islice(_tensor_shapes(config), len(arrays) + 1):
+    for name, shape in itertools.islice(itertools.chain.from_iterable(_segments(config)), len(arrays) + 1):
         if name not in arrays:
             raise ValueError(f"missing parameter tensor {name!r}")
         loaded[name] = arr = np.asarray(arrays[name], dtype=float)

@@ -216,7 +216,7 @@ class TestForward:
         with pytest.warns(RuntimeWarning, match="overflow"):
             v = nn.forward(params, x, 0.9)
         with np.errstate(over="ignore"):
-            assert v.tobytes() == nn._forward(params, x, 0.9, keep=True)[0].tobytes()
+            assert v.tobytes() == nn._forward(params, x, 0.9, nn._activations(params.config, 2))[0].tobytes()
 
     def test_matches_cached_forward_bit_for_bit(self):
         # forward reuses per-model buffers; every result must equal the
@@ -233,7 +233,7 @@ class TestForward:
                 x_before = x.copy()
                 x.setflags(write=False)
                 v = nn.forward(params, x, t)
-                assert v.tobytes() == nn._forward(params, x, t, keep=True)[0].tobytes()
+                assert v.tobytes() == nn._forward(params, x, t, nn._activations(cfg, n))[0].tobytes()
                 assert np.array_equal(x, x_before)
                 results.append((v, v.copy()))
             assert all(np.array_equal(v, kept) for v, kept in results)
@@ -292,10 +292,20 @@ class TestForward:
         bound = (2000 + 4 * 512) * params.config.hidden * 8
         assert traced_peak(nn.forward, params, x, 0.3) < bound
 
+    def test_first_per_row_call_embeds_a_tile_at_a_time(self):
+        # per-row times within the scalar-t bound above plus the n x 2
+        # inputs; embedding all n rows up front peaked at 9.1 MiB
+        params, x, t, _ = default_setup(2000)
+        bound = (2000 + 4 * 512) * params.config.hidden * 8 + x.nbytes
+        assert traced_peak(nn.forward, params, x, t) < bound
+
     def test_wrong_dim_rejected(self):
         params, _, _, _ = tiny_setup()
         with pytest.raises(ValueError):
             nn.forward(params, np.zeros((3, 5)), 0.0)
+        for n_t in (2, 4):  # a per-row t whose length is not the row count
+            with pytest.raises(ValueError):
+                nn.forward(params, np.zeros((3, 2)), np.zeros(n_t))
 
     def test_identity_block_property(self):
         # zeroed second linears reduce the net to the two projections
@@ -346,7 +356,7 @@ class TestLossAndGrad:
     def test_backward_writes_every_gradient_entry(self, setup):
         # the public call hands the backward pass an uninitialized vector
         params, x, t, u = setup()
-        loss, got = nn._loss_and_grad(params, x, t, u, lambda size: np.full(size, np.nan))
+        loss, got = nn.loss_and_grad(params, x, t, u, _alloc=lambda size: np.full(size, np.nan))
         expected_loss, expected = nn.loss_and_grad(params, x, t, u)
         assert loss == expected_loss and got.flat.tobytes() == expected.flat.tobytes()
 
@@ -354,6 +364,8 @@ class TestLossAndGrad:
         params, x, t, _ = tiny_setup()
         with pytest.raises(ValueError):
             nn.loss_and_grad(params, x, t, np.zeros((2, 2)))
+        with pytest.raises(ValueError):  # one column must not broadcast to two
+            nn.loss_and_grad(params, x[:, :1], t, x[:, :1])
 
     def test_allocates_little_beyond_its_activations_and_gradients(self):
         # one fresh gradient vector, each block's five kept n x hidden arrays
@@ -371,6 +383,55 @@ class TestLossAndGrad:
         dict(params.named())[name].flat[0] = bad
         with pytest.raises(ValueError, match=f"tensor '{re.escape(name)}'"):
             nn.loss_and_grad(params, x, t, u)
+
+
+def step_batches(config, sizes):
+    rng = Rng(17)
+    d = config.data_dim
+    return [(rng.normal(size=(n, d)), rng.uniform(size=n), rng.normal(size=(n, d))) for n in sizes]
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("setup, sizes", [(tiny_setup, (4, 4, 3)),
+                                              (default_setup, (256, 256, 208))],
+                             ids=["tiny", "256x4"])
+    def test_matches_loss_and_grad_then_adam_update_bit_for_bit(self, setup, sizes):
+        # three steps in one workspace, the last on a shorter batch
+        params, ref = setup()[0], setup()[0]
+        state, ref_state = nn.AdamState.for_params(params), nn.AdamState.for_params(ref)
+        workspace = nn.Workspace(params, sizes[0])
+        for x, t, u in step_batches(params.config, sizes):
+            loss = workspace.step(params, state, x, t, u, 3e-3)
+            ref_loss, grads = nn.loss_and_grad(ref, x, t, u)
+            nn.adam_update(ref, grads, ref_state, 3e-3)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert state.step == ref_state.step == 3
+        for got, expected in ((params.flat, ref.flat), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_non_finite_loss_leaves_params_and_state_untouched(self):
+        params, x, t, u = default_setup()
+        state = nn.AdamState.for_params(params)
+        workspace = nn.Workspace(params, 256)
+        workspace.step(params, state, x, t, u, 1e-3)
+        before = [a.copy() for a in (params.flat, state.m, state.v)]
+        u[5, 1] = np.nan
+        assert np.isnan(workspace.step(params, state, x, t, u, 1e-3))
+        assert state.step == 1
+        for got, kept in zip((params.flat, state.m, state.v), before):
+            assert got.tobytes() == kept.tobytes()
+
+    def test_later_step_allocates_less_than_one_hidden_array(self):
+        # the activations, gradients and Adam scratch all live in the
+        # workspace; fresh activations each step let the allocator hand
+        # their pages back and fault them in again
+        params, x, t, u = default_setup()
+        state = nn.AdamState.for_params(params)
+        workspace = nn.Workspace(params, 256)
+        workspace.step(params, state, x, t, u, 1e-3)
+        peak = traced_peak(workspace.step, params, state, x, t, u, 1e-3)
+        assert peak < 256 * params.config.hidden * 8
 
 
 class TestLayerPrimitives:
