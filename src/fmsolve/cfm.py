@@ -19,6 +19,7 @@ batch draws.  Sampling uses whatever rng the caller passes.
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -270,14 +271,16 @@ def sample(model, solver, n, rng):
 def save_model(model, path):
     """Write the model bundle as JSON.
 
-    Layout: {format_version, config, seed, params, training_meta}; floats are
-    serialized with repr round-tripping, so reloading is bit-exact.
+    Layout: {format_version, config, seed, params, training_meta}, keys sorted;
+    floats are serialized with repr round-tripping, so reloading is bit-exact.
+    The parameter tensors are encoded one at a time into the place the rest of
+    the document leaves for them, so at most one of them is a Python list.
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": model.config.to_dict(),
         "seed": model.config.seed,
-        "params": nn.params_to_arrays(model.params),
+        "params": {},
         "training_meta": {
             "epochs": model.config.epochs,
             "final_loss": model.final_loss,
@@ -286,9 +289,111 @@ def save_model(model, path):
             "data_std": model.data_std.tolist(),
         },
     }
+    head, _, tail = json.dumps(doc, sort_keys=True).partition('"params": {}')
+    tensors = sorted(model.params.named(), key=lambda item: item[0])
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head + '"params": {')
+        for i, (name, arr) in enumerate(tensors):
+            fh.write(f"{', ' if i else ''}{json.dumps(name)}: {json.dumps(arr.tolist())}")
+        fh.write("}" + tail + "\n")
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # what JSON allows between tokens
+_WINDOW = 2**16  # characters of a model file read at a time
+
+
+def _read_document(path):
+    """The JSON document of a model file: what json.load returns, except that
+    each params tensor is already a float array.
+
+    The top level, ``params`` and each tensor's outer list are walked one
+    entry at a time through a window of the file's text, and each tensor
+    becomes an array as soon as its last row is decoded.  So neither the
+    whole text nor more than one tensor's lists are held at once.  A
+    repeated key keeps its first position and its last value, as in
+    json.load.  A document the walk does not expect (a top level that is no
+    object, any syntax error) goes to json.loads, which raises the error
+    json.load raises.
+    """
+    decoder = json.JSONDecoder()
+    with open(path) as fh:
+        text, i = "", 0  # the text not yet decoded starts at text[i]
+
+        def more():
+            # at least double what is left, so a long value is decoded at
+            # most a few times over before it fits
+            nonlocal text, i
+            chunk = fh.read(max(_WINDOW, len(text) - i))
+            if not chunk:
+                raise ValueError("unexpected end of the model file")
+            text, i = text[i:] + chunk, 0
+
+        def peek():
+            nonlocal i
+            while (i := _WHITESPACE.match(text, i).end()) == len(text):
+                more()
+            return text[i]
+
+        def take(char):
+            nonlocal i
+            if peek() != char:
+                raise ValueError(f"expected {char!r}")
+            i += 1
+
+        def value():
+            nonlocal i
+            peek()
+            while True:
+                try:
+                    decoded, end = decoder.raw_decode(text, i)
+                    if end < len(text):  # a number at the window's end may go on
+                        i = end
+                        return decoded
+                except json.JSONDecodeError:  # cut off by the window's end, or malformed
+                    pass
+                more()
+
+        def entries(open_, close):
+            # yields once per entry of an object or array, which the loop
+            # body decodes before the separator is looked for
+            take(open_)
+            if peek() != close:
+                yield
+                while peek() == ",":
+                    take(",")
+                    yield
+            take(close)
+
+        def members(member_value):
+            obj = {}
+            for _ in entries("{", "}"):
+                key = value()
+                if not isinstance(key, str):
+                    raise ValueError("expected a key")
+                take(":")
+                obj[key] = member_value(key)
+            return obj
+
+        def tensor(_):
+            if peek() != "[":
+                return value()
+            rows = [value() for _ in entries("[", "]")]
+            try:
+                return np.asarray(rows, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                return rows  # params_from_arrays raises the same error on it
+
+        def top(key):
+            return members(tensor) if key == "params" and peek() == "{" else value()
+
+        try:
+            doc = members(top)
+            if _WHITESPACE.fullmatch(text[i:] + fh.read()):
+                return doc
+        except (ValueError, RecursionError):  # json.loads raises what json.load would
+            pass
+        fh.seek(0)
+        return json.loads(fh.read())
 
 
 def load_model(path):
@@ -299,8 +404,11 @@ def load_model(path):
     losses and the last as final_loss.  A malformed file raises ValueError
     naming what is wrong.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    return _model_from_document(_read_document(path), path)
+
+
+def _model_from_document(doc, path):
+    """The checks of :func:`load_model` on the decoded document of ``path``."""
     where = f"model file {path}"
     check_keys(doc, where, required=("format_version", "config", "seed", "params", "training_meta"))
     check_version(doc["format_version"], MODEL_FORMAT_VERSION, where)

@@ -477,6 +477,7 @@ def params_from_arrays(config, arrays):
     if extra:
         raise ValueError(f"unknown parameter tensors: {sorted(extra)}")
     params = MlpParams(config)
-    params.flat[...] = np.concatenate([arr.ravel() for arr in loaded.values()])  # named order
+    for (_, view), arr in zip(params.named(), loaded.values()):  # both in named order
+        view[...] = arr
     params.check_finite()
     return params

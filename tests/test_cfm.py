@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import io
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -24,6 +27,24 @@ def tiny_config(seed=0, kind="moons", **overrides):
 def first_train_batch(data, rng, batch_size):
     # the pairing train uses: a slice of the epoch's permutation of the rows
     return cfm._pairs(data[rng.permutation(data.shape[0])[:batch_size]], rng)
+
+
+def default_size_model():
+    """The 256x4 default network, untrained, with its file's other entries."""
+    config = cfm.TrainConfig.default(DatasetSpec("moons", n=512), seed=3, epochs=2, mlp={})
+    return cfm.TrainedModel(params=nn.init_params(config.mlp, Rng(0)), config=config,
+                            data_mean=np.array([0.5, 0.25]), data_std=np.array([0.875, 0.5]),
+                            loss_curve=[1.25, 0.75])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBatches:
@@ -225,6 +246,41 @@ class TestPersistence:
         cfm.save_model(cfm.train(tiny_config(seed=19, epochs=2)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_writes_the_bytes_of_one_json_dump(self, tmp_path):
+        # the file is the whole-document json.dump it replaced, byte for byte
+        path = tmp_path / "model.json"
+        for model in (cfm.train(tiny_config(seed=17, epochs=2)), default_size_model()):
+            cfm.save_model(model, path)
+            doc = {
+                "format_version": cfm.MODEL_FORMAT_VERSION,
+                "config": model.config.to_dict(),
+                "seed": model.config.seed,
+                "params": nn.params_to_arrays(model.params),
+                "training_meta": {
+                    "epochs": model.config.epochs,
+                    "final_loss": model.final_loss,
+                    "loss_curve": list(model.loss_curve),
+                    "data_mean": model.data_mean.tolist(),
+                    "data_std": model.data_std.tolist(),
+                },
+            }
+            whole = io.StringIO()
+            json.dump(doc, whole, sort_keys=True)
+            assert path.read_bytes() == (whole.getvalue() + "\n").encode()
+
+    def test_save_and_load_peaks_stay_below_the_file_size(self, tmp_path):
+        # one tensor at a time: load's peak is the decoded arrays and the
+        # parameter vector they are copied into.  For this 11.4 MiB file,
+        # decoding the whole document into lists first peaked at 29.5 MiB,
+        # reading its whole text before decoding a tensor at a time at 22.9
+        # MiB, and encoding the document with one json.dump at 16.9 MiB
+        model, path = default_size_model(), tmp_path / "model.json"
+        save_peak = traced_peak(cfm.save_model, model, path)
+        load_peak = traced_peak(cfm.load_model, path)
+        size = path.stat().st_size
+        assert save_peak < 0.8 * size
+        assert load_peak < size
+
     def test_block_count_checked_before_allocating(self, tmp_path):
         # a file whose config names 10**4 blocks but holds one: rejected
         # before a 10**4-block layout (12.8 MB at width 8) is built; 10**5
@@ -253,3 +309,157 @@ class TestPersistence:
         path.write_text(doc)
         with pytest.raises(ValueError, match="format_version"):
             cfm.load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# model files: generated edits, loaded against json.load plus the validation
+
+VALUE_POOL = [None, True, False, 0, -1, 1.5, 1e308, -1e308, 1e-320, float("nan"),
+              float("inf"), float("-inf"), "", "x", "1.5", [], {}, 10**30, 10**400]
+DAMAGE_CHARS = '{}[]:,"0123456789.-+eE aNIfinytrul\n\t\\é'
+
+
+def _random_path(doc, rng):
+    """A key path found by descending from the root, stopping early now and then."""
+    path, node = (), doc
+    while isinstance(node, (dict, list)) and node and rng.random() < 0.9:
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        path, node = (*path, key), node[key]
+    return path
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _members(pairs):
+    """A JSON object from (key, encoded value) pairs, which may repeat a key."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+def _shuffled(node, rng):
+    if isinstance(node, dict):
+        keys = list(node)
+        rng.shuffle(keys)
+        return {k: _shuffled(node[k], rng) for k in keys}
+    return node
+
+
+def _delete_key(doc, rng):
+    path = _random_path(doc, rng) or (rng.choice(list(doc)),)
+    del _at(doc, path[:-1])[path[-1]]
+    return json.dumps(doc)
+
+
+def _replace_value(doc, rng):
+    path, value = _random_path(doc, rng), rng.choice(VALUE_POOL)
+    if not path:
+        return json.dumps(value)
+    _at(doc, path[:-1])[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _reshape_tensor(doc, rng):
+    params = doc["params"]
+    name = rng.choice(sorted(params))
+    tensor = params[name]
+    if rng.random() < 0.3:
+        params[name] = [tensor]
+    elif isinstance(tensor[0], list) and rng.random() < 0.5:
+        row = rng.randrange(len(tensor))
+        tensor[row] = tensor[row][:-1]
+    else:
+        params[name] = tensor[:-1]
+    return json.dumps(doc)
+
+
+def _foreign_entry(doc, rng):
+    tensor = doc["params"][rng.choice(sorted(doc["params"]))]
+    while isinstance(tensor[0], list):
+        tensor = rng.choice(tensor)
+    tensor[rng.randrange(len(tensor))] = rng.choice(["x", True, None, float("nan")])
+    return json.dumps(doc)
+
+
+def _duplicate_key(doc, rng):
+    # a repeated name keeps its first position and its last value
+    inner = rng.random() < 0.7
+    obj = doc["params"] if inner else doc
+    pairs = [(k, json.dumps(v)) for k, v in obj.items()]
+    key = rng.choice(list(obj))
+    value = rng.choice([obj[key], rng.choice(VALUE_POOL)])
+    pairs.insert(rng.randrange(len(pairs) + 1), (key, json.dumps(value)))
+    if not inner:
+        return _members(pairs)
+    return _members((k, _members(pairs) if k == "params" else json.dumps(v)) for k, v in doc.items())
+
+
+def _reorder_keys(doc, rng):
+    return json.dumps(_shuffled(doc, rng))
+
+
+def _reindent(doc, rng):
+    return json.dumps(doc, indent=rng.choice([1, "\t"]), sort_keys=rng.random() < 0.5)
+
+
+def _damage_char(doc, rng):
+    text = json.dumps(doc, sort_keys=True)
+    at, edit = rng.randrange(len(text)), rng.choice(["insert", "replace", "delete"])
+    char = "" if edit == "delete" else rng.choice(DAMAGE_CHARS)
+    return text[:at] + char + text[at + (edit != "insert"):]
+
+
+MODEL_FILE_EDITS = [_delete_key, _replace_value, _reshape_tensor, _foreign_entry, _duplicate_key,
+                    _reorder_keys, _reindent, _damage_char]
+
+
+def edited_model_texts(doc, seed, budget):
+    """``budget`` model-file texts, each ``doc`` after one edit drawn from MODEL_FILE_EDITS."""
+    rng = random.Random(seed)
+    for _ in range(budget):
+        yield rng.choice(MODEL_FILE_EDITS)(copy.deepcopy(doc), rng)
+
+
+def load_outcome(load, path):
+    """What a load gives back: the exception's type and message, or the exact
+    bits of the model (reprs keep 1 apart from 1.0 and -0.0 apart from 0.0)."""
+    try:
+        model = load(path)
+    except Exception as exc:  # every failure is an outcome to compare
+        return type(exc), str(exc)
+    return (model.params.flat.tobytes(), repr(model.config), model.data_mean.tobytes(),
+            model.data_std.tobytes(), repr(model.loss_curve))
+
+
+def json_load_then_validate(path):
+    """The reference: the whole document through json.load, then load_model's checks."""
+    with open(path) as fh:
+        return cfm._model_from_document(json.load(fh), path)
+
+
+class TestEditedModelFiles:
+    BUDGET = 480
+
+    # a 61-character window cuts the tiny model's file inside keys, numbers
+    # and rows, as the default one cuts the file of a large model
+    @pytest.mark.parametrize("window", [cfm._WINDOW, 61])
+    def test_load_matches_json_load_then_validation(self, window, tmp_path, monkeypatch):
+        monkeypatch.setattr(cfm, "_WINDOW", window)
+        model = cfm.train(tiny_config(seed=17, epochs=2,
+                                      mlp={"hidden": 8, "n_blocks": 1, "time_embed_dim": 4}))
+        path = tmp_path / "model.json"
+        cfm.save_model(model, path)
+        doc = json.loads(path.read_text())
+        outcomes, mismatches = [], []
+        for i, text in enumerate(edited_model_texts(doc, seed=16, budget=self.BUDGET)):
+            path.write_text(text)
+            got = load_outcome(cfm.load_model, path)
+            want = load_outcome(json_load_then_validate, path)
+            outcomes.append(got)
+            if got != want:
+                mismatches.append((i, text[:200], got, want))
+        assert not mismatches, mismatches[:3]
+        loaded = sum(not isinstance(o[0], type) for o in outcomes)
+        assert 0.1 * self.BUDGET < loaded < 0.9 * self.BUDGET

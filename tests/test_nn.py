@@ -589,6 +589,13 @@ class TestInitAndPersistence:
         for (_, a), (_, b) in zip(params.named(), loaded.named()):
             assert np.array_equal(a, b)
 
+    def test_load_copies_each_tensor_into_its_view(self):
+        # the arrays, as load_model hands them over, go straight into the
+        # parameter vector; concatenating them first peaked at twice its size
+        params = nn.init_params(nn.MlpConfig(), Rng(0))
+        arrays = {name: arr.copy() for name, arr in params.named()}
+        assert traced_peak(nn.params_from_arrays, params.config, arrays) < 1.25 * params.flat.nbytes
+
     def test_load_rejects_bad_payloads(self):
         params, _, _, _ = tiny_setup()
         arrays = nn.params_to_arrays(params)
