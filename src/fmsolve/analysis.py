@@ -189,22 +189,16 @@ def pareto_benchmark(model, grid, n_samples, n_projections, rng):
 # Jacobian spectrum along the flow
 
 def jacobian_fd(field, x, t):
-    """2x2 Jacobian of a planar field at (x, t) by central differences.
+    """(n, 2, 2) Jacobians of a planar field at the rows of an (n, 2) batch x,
+    by central differences; ``field(t, xs)`` maps such a batch to velocities.
 
-    Column j uses the perturbation eps_j = 1e-4 * (1 + |x_j|), balancing
-    truncation against round-off for fields with O(1) curvature.
+    Entry (i, j) is perturbed by eps = 1e-4 * (1 + |x_ij|), balancing
+    truncation against round-off for fields with O(1) curvature.  Each sign
+    and column is one call on all rows: 4 field evaluations, not 4n.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError(f"expected a 2D point, got shape {x.shape}")
-    return _central_differences(lambda t, xs: field(t, xs[0])[None, :], x[None, :], t)[0]
-
-
-def _central_differences(batched_field, x, t):
-    """(n, 2, 2) Jacobians at the rows of x of a field mapping an (n, 2)
-    batch to (n, 2) velocities, with the per-row, per-column eps of
-    :func:`jacobian_fd`: all rows go through one call per sign and column,
-    so the field is evaluated 4 times instead of 4n."""
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) batch of points, got shape {x.shape}")
     jac = np.empty((x.shape[0], 2, 2))
     for j in range(2):
         eps = 1e-4 * (1.0 + np.abs(x[:, j]))
@@ -212,8 +206,8 @@ def _central_differences(batched_field, x, t):
         xm = x.copy()
         xp[:, j] += eps
         xm[:, j] -= eps
-        fp = batched_field(t, xp)
-        fm = batched_field(t, xm)
+        fp = field(t, xp)
+        fm = field(t, xm)
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise IntegrationError(f"non-finite field while differencing at t={t}", t=t, y=x)
         jac[:, :, j] = (fp - fm) / (2.0 * eps)[:, None]
@@ -255,7 +249,7 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     f = cfm.velocity_field(model.params)
     rows = []
     for i, t in enumerate(time_grid):
-        jac = _central_differences(f, x, t)
+        jac = jacobian_fd(f, x, t)
         eig1, eig2 = eig2x2(jac)
         rows.append(
             SpectrumRow(
@@ -341,7 +335,8 @@ def stability_demo(lam, h_values, t1, n_report=200):
     for h in h_values:
         if not (math.isfinite(h) and h > 0):
             raise ValueError(f"demo step sizes must be finite and > 0, got h={h}")
-        n_steps = min(int(math.ceil(t1 / h - 1e-12)), int(n_report))
+        # min first: t1 / h may be inf, which has no ceiling
+        n_steps = math.ceil(min(t1 / h - 1e-12, n_report))
         f = VectorField(lambda t, y: lam * y)
         y = np.array([1.0])
         ys = [1.0]

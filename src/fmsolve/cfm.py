@@ -313,7 +313,8 @@ def _read_document(path):
     repeated key keeps its first position and its last value, as in
     json.load.  A document the walk does not expect (a top level that is no
     object, any syntax error) goes to json.loads, which raises the error
-    json.load raises.
+    json.load raises, except that JSON nested past json's recursion limit
+    raises ValueError.
     """
     decoder = json.JSONDecoder()
     with open(path) as fh:
@@ -393,7 +394,10 @@ def _read_document(path):
         except (ValueError, RecursionError):  # json.loads raises what json.load would
             pass
         fh.seek(0)
-        return json.loads(fh.read())
+        try:
+            return json.loads(fh.read())
+        except RecursionError:
+            raise ValueError(f"model file {path}: JSON nested too deeply") from None
 
 
 def load_model(path):
@@ -436,5 +440,5 @@ def _model_from_document(doc, path):
             raise ValueError(f"training_meta: final_loss {final!r} != last loss_curve entry")
         return TrainedModel(params=params, config=config, data_mean=mean, data_std=std,
                             loss_curve=curve)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: malformed entry {exc}") from exc

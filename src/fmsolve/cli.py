@@ -74,6 +74,8 @@ def load_run_config(path):
             grid = [_grid_entry(i, s) for i, s in enumerate(grid)]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"malformed JSON in {path}: nested too deeply") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return tc, grid

@@ -34,7 +34,6 @@ __all__ = [
     "loss_and_grad",
     "adam_update",
     "init_params",
-    "params_to_arrays",
     "params_from_arrays",
 ]
 
@@ -115,9 +114,6 @@ class MlpParams:
         """(name, array) pairs in a fixed canonical order."""
         return ((name, v) for s, seg in self.segments
                 for (name, _), v in zip(seg, _views(self.flat[s], seg)))
-
-    def zeros_like(self):
-        return MlpParams(self.config)
 
     def check_finite(self):
         if not np.isfinite(self.flat).all():
@@ -455,14 +451,9 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # persistence
 
-def params_to_arrays(params):
-    """Named row-major nested lists, ready for JSON."""
-    return {name: arr.tolist() for name, arr in params.named()}
-
-
 def params_from_arrays(config, arrays):
-    """Inverse of :func:`params_to_arrays`; validates names and shapes, and
-    that every value is finite (the error names the first bad tensor).
+    """Inverse of ``dict(params.named())`` (arrays or nested lists); checks names,
+    shapes and that every value is finite (the error names the first bad tensor).
     Nothing of the size ``config`` gives is allocated before ``arrays`` is
     known to fill it, so a config from a file cannot outgrow the file."""
     loaded = {}

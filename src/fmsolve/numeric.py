@@ -14,6 +14,7 @@ from uniforms to normals.
 import csv
 import math
 import numbers
+import sys
 import typing
 from dataclasses import fields
 
@@ -162,7 +163,10 @@ def check_field_types(obj):
         if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in kinds):
             expected = " or ".join(kind.__name__ for kind in kinds)
             raise ValueError(f"{type(obj).__name__}.{f.name}: expected {expected}, got {value!r}")
-        if float in kinds and isinstance(value, float | np.floating) and not math.isfinite(value):
+        # an int past the float range overflows wherever it meets a float
+        too_big = isinstance(value, int) and abs(value) > sys.float_info.max
+        if float in kinds and (too_big or isinstance(value, float | np.floating)
+                               and not math.isfinite(value)):
             raise ValueError(f"{type(obj).__name__}.{f.name}: expected a finite number, got {value!r}")
 
 

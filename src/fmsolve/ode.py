@@ -281,13 +281,11 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
 
 @dataclass
 class StepControlConfig:
-    """Tolerances, optional starting step and attempt budget of the adaptive
-    integrator."""
+    """Tolerances and optional starting step of the adaptive integrator."""
 
     atol: float = 1e-5
     rtol: float = 1e-5
     h_init: float | None = None
-    max_steps: int = 100_000
 
     def __post_init__(self):
         check_field_types(self)
@@ -296,11 +294,9 @@ class StepControlConfig:
         # round-off alone fails an error test this tight (solve_ivp floors rtol there)
         if max(self.atol, self.rtol) < 100 * np.finfo(float).eps:
             raise ValueError(f"atol={self.atol:g} and rtol={self.rtol:g} are both below 100*eps")
-        # a zero step is "accepted" without advancing until max_steps runs out
+        # a zero step is "accepted" without advancing until MAX_STEPS runs out
         if self.h_init is not None and self.h_init <= 0:
             raise ValueError(f"h_init must be positive, got {self.h_init}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 # Step-size controller: the next step is
@@ -313,6 +309,9 @@ ALPHA_MIN = 0.2
 ALPHA_MAX = 5.0
 ORDER_EXPONENT = 1.0 / 6.0
 
+#: attempts, accepted or rejected, of one adaptive run before it gives up
+MAX_STEPS = 100_000
+
 
 # Smallest step relative to |t| the adaptive loop attempts.  Below it t + h
 # carries too few significant bits of h for the error estimate to mean
@@ -321,18 +320,15 @@ ORDER_EXPONENT = 1.0 / 6.0
 _H_MIN_FACTOR = 16.0 * np.finfo(float).eps
 
 
-def _scaled_rms(v, scale):
-    # a norm beyond the float range is inf: an error norm fails the step
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.mean((v / scale) ** 2)))
-
-
 def error_norm(e, y_n, y_next, atol, rtol):
-    """Scaled RMS norm of a local error estimate.
+    """Scaled RMS norm of a local error estimate; inf past the float range,
+    which fails the step, and 0 against a scale past it:
 
     sqrt( (1/d) * sum_j ( e_j / (atol + max(|y_n_j|, |y_next_j|) * rtol) )^2 )
     """
-    return _scaled_rms(e, atol + np.maximum(np.abs(y_n), np.abs(y_next)) * rtol)
+    with np.errstate(over="ignore"):
+        scale = atol + np.maximum(np.abs(y_n), np.abs(y_next)) * rtol
+        return float(np.sqrt(np.mean((e / scale) ** 2)))
 
 
 def propose_step(h, err):
@@ -350,7 +346,7 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
 
     Returns cfg.h_init when set.  Otherwise, with f0 = f(t0, y0) (the
     caller's first stage, already checked finite), d0 = ||y0|| and
-    d1 = ||f0|| in the tolerance-scaled RMS norm, a first guess
+    d1 = ||f0|| in the :func:`error_norm` of y0, a first guess
     h0 = 0.01 * d0 / d1 is refined by one trial Euler step: with
     d2 = ||f(t0+h0, y0+h0*f0) - f0|| / h0, the guess becomes
     h = min(100*h0, (0.01 / max(d1, d2))^ORDER_EXPONENT).  An (almost) flat
@@ -362,9 +358,8 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
     if cfg.h_init is not None:
         return min(float(cfg.h_init), span)
     y0 = np.asarray(y0, dtype=float)
-    scale = cfg.atol + np.abs(y0) * cfg.rtol
-    d0 = _scaled_rms(y0, scale)
-    d1 = _scaled_rms(f0, scale)
+    d0 = error_norm(y0, y0, y0, cfg.atol, cfg.rtol)
+    d1 = error_norm(f0, y0, y0, cfg.atol, cfg.rtol)
     if d1 < 1e-12:
         return span
     if d1 == np.inf:  # no step is small enough for the heuristic
@@ -372,11 +367,8 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
     h0 = 0.01 * d0 / d1 if d0 >= 1e-5 else 1e-6
     h0 = min(h0, span)
     f_trial = _check_finite(f(t0 + h0, y0 + h0 * f0), t0, y0, h0)
-    d2 = _scaled_rms(f_trial - f0, scale) / h0
-    dmax = max(d1, d2)
-    if dmax <= 1e-15:
-        return span
-    h1 = (0.01 / dmax) ** ORDER_EXPONENT
+    d2 = error_norm(f_trial - f0, y0, y0, cfg.atol, cfg.rtol) / h0
+    h1 = (0.01 / max(d1, d2)) ** ORDER_EXPONENT
     return min(100.0 * h0, h1, span)
 
 
@@ -396,7 +388,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     The final step is clipped to land on t1 exactly.  After a rejection the
     growth factor is capped at 1 up to and including the next accepted
     step, which damps accept/reject oscillation.  Raises
-    :class:`IntegrationError` when cfg.max_steps attempts are exhausted, a
+    :class:`IntegrationError` when :data:`MAX_STEPS` attempts are exhausted, a
     stage goes non-finite, the proposed state goes non-finite ("state
     became non-finite", as in :func:`integrate_fixed`), or the step size
     underflows (h = 0 or h < 16*eps*|t|, as near a finite-time blow-up).
@@ -420,9 +412,9 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     just_rejected = False
     while t < t1:
         attempt = len(trace.steps)
-        if attempt >= cfg.max_steps:
+        if attempt >= MAX_STEPS:
             raise IntegrationError(
-                f"max_steps={cfg.max_steps} exhausted at t={t}, h={h}", t=t, y=y, h=h
+                f"max_steps={MAX_STEPS} exhausted at t={t}, h={h}", t=t, y=y, h=h
             )
         if h < _H_MIN_FACTOR * abs(t) or h == 0.0:
             raise IntegrationError(
@@ -461,14 +453,16 @@ def stability_value(method, z):
     R(z) = 1 + sum_k (b . A^(k-1) . 1) z^k: 1 + z for Euler, 1 + z + z^2/2 for
     midpoint, the exponential series truncated at order 4 for RK4, and a
     degree-6 polynomial for dopri5; ``z`` may be a scalar or an array.
+    Where R(z) passes the float range, its parts are inf or nan.
     """
     if method not in TABLEAUS:
         raise ValueError(f"unknown method {method!r}")
     if np.ndim(z) == 0:
         z = complex(z)
     acc = 0j  # Horner
-    for ck in TABLEAUS[method].stability_coefficients()[::-1]:
-        acc = acc * z + ck
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ck in TABLEAUS[method].stability_coefficients()[::-1]:
+            acc = acc * z + ck
     return acc
 
 
@@ -499,9 +493,10 @@ class StabilityRaster:
 def stability_region_grid(method, re_range, im_range, resolution):
     """Rasterize the stability region {z : |R(z)| <= 1} of a method.
 
-    ``re_range`` and ``im_range`` are finite (min, max) pairs with
-    min < max; ``resolution`` is the number of grid points per axis (a
-    single int or a (re, im) pair), at least 2 per axis.
+    ``re_range`` and ``im_range`` are (min, max) pairs with min < max and
+    a finite span max - min; ``resolution`` is the number of grid points
+    per axis (a single int or a (re, im) pair), at least 2 per axis.  Where
+    R(z) passes the float range, |R| is inf: outside the region.
     """
     if np.isscalar(resolution):
         n_re = n_im = int(resolution)
@@ -510,10 +505,14 @@ def stability_region_grid(method, re_range, im_range, resolution):
     if n_re < 2 or n_im < 2:
         raise ValueError("resolution must be >= 2 per axis")
     for name, (lo, hi) in (("re_range", re_range), ("im_range", im_range)):
-        if not (np.isfinite([lo, hi]).all() and lo < hi):
-            raise ValueError(f"{name} must be finite with min < max, got ({lo}, {hi})")
+        # float(): a numpy scalar's overflowing difference would warn
+        if not (lo < hi and np.isfinite(float(hi) - float(lo))):
+            raise ValueError(f"{name} must be finite with min < max and a finite span, "
+                             f"got ({lo}, {hi})")
     re = np.linspace(re_range[0], re_range[1], n_re)
     im = np.linspace(im_range[0], im_range[1], n_im)
     z = re[None, :] + 1j * im[:, None]
-    mag = np.abs(stability_value(method, z))
+    with np.errstate(over="ignore"):
+        mag = np.abs(stability_value(method, z))
+    mag[np.isnan(mag)] = np.inf  # R(z) overflowed into inf - inf or inf * 0
     return StabilityRaster(method=method, re=re, im=im, magnitude=mag, inside=mag <= 1.0)

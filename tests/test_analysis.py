@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmsolve import analysis, cfm, nn
+from fmsolve import cfm, nn
 from fmsolve.analysis import (
     DecayProblem,
     convergence_study,
@@ -16,7 +16,7 @@ from fmsolve.analysis import (
 )
 from fmsolve.data import DatasetSpec
 from fmsolve.numeric import Rng
-from fmsolve.ode import SolveTrace, StepRecord, VectorField
+from fmsolve.ode import IntegrationError, SolveTrace, StepRecord, VectorField
 
 
 def tiny_model(seed=0, epochs=3):
@@ -25,6 +25,18 @@ def tiny_model(seed=0, epochs=3):
         mlp={"hidden": 16, "n_blocks": 1, "time_embed_dim": 8},
     )
     return cfm.train(config)
+
+
+def zero_field_model():
+    # untrained parameters keep the zero output layer: v = 0 everywhere
+    config = cfm.TrainConfig.default(
+        DatasetSpec("moons", n=64), seed=0, epochs=1,
+        mlp={"hidden": 8, "n_blocks": 1, "time_embed_dim": 4},
+    )
+    return cfm.TrainedModel(
+        params=nn.init_params(config.mlp, Rng(0)), config=config,
+        data_mean=np.zeros(2), data_std=np.ones(2),
+    )
 
 
 class TestSwd:
@@ -155,40 +167,49 @@ class TestConvergence:
 class TestJacobianFd:
     def test_linear_field_recovers_matrix(self):
         a = np.array([[0.3, -1.2], [2.0, 0.7]])
-        f = VectorField(lambda t, y: a @ y)
-        jac = jacobian_fd(f, np.array([0.4, -0.9]), 0.0)
-        assert jac == pytest.approx(a, abs=1e-6)
+        f = VectorField(lambda t, y: y @ a.T)
+        jac = jacobian_fd(f, np.array([[0.4, -0.9], [-2.0, 3.0]]), 0.0)
+        assert jac.shape == (2, 2, 2)
+        for j in jac:
+            assert j == pytest.approx(a, abs=1e-6)
 
     def test_quadratic_field(self):
-        f = VectorField(lambda t, y: np.array([y[1] ** 2, y[0]]))
-        jac = jacobian_fd(f, np.array([0.0, 1.0]), 0.0)
-        assert jac == pytest.approx(np.array([[0.0, 2.0], [1.0, 0.0]]), abs=1e-6)
+        f = VectorField(lambda t, y: np.stack([y[:, 1] ** 2, y[:, 0]], axis=1))
+        jac = jacobian_fd(f, np.array([[0.0, 1.0]]), 0.0)
+        assert jac[0] == pytest.approx(np.array([[0.0, 2.0], [1.0, 0.0]]), abs=1e-6)
 
     def test_constant_field_zero_jacobian(self):
-        f = VectorField(lambda t, y: np.array([3.0, -1.0]))
-        jac = jacobian_fd(f, np.array([5.0, 5.0]), 0.5)
+        f = VectorField(lambda t, y: np.full_like(y, 3.0))
+        jac = jacobian_fd(f, np.array([[5.0, 5.0]]), 0.5)
         assert np.max(np.abs(jac)) < 1e-8
 
     def test_batched_helper_matches_pointwise(self):
+        # rows are differenced independently: each row of a batch gets the
+        # Jacobian it gets alone, with its own eps
         model = tiny_model()
         x = Rng(9).normal(size=(7, 2))
-        batched = analysis._central_differences(cfm.velocity_field(model.params), x, 0.3)
+        f = cfm.velocity_field(model.params)
+        batched = jacobian_fd(f, x, 0.3)
         for i in range(7):
-            f = VectorField(lambda t, y: nn.forward(model.params, y[None, :], t)[0])
-            assert batched[i] == pytest.approx(jacobian_fd(f, x[i], 0.3), rel=1e-9, abs=1e-12)
+            alone = jacobian_fd(f, x[i:i + 1], 0.3)[0]
+            assert batched[i] == pytest.approx(alone, rel=1e-9, abs=1e-12)
+
+    def test_needs_a_batch_of_planar_points(self):
+        f = VectorField(lambda t, y: y)
+        for x in (np.zeros(2), np.zeros((4, 3))):
+            with pytest.raises(ValueError, match=r"expected an \(n, 2\) batch"):
+                jacobian_fd(f, x, 0.0)
+
+    def test_non_finite_field_raises(self):
+        f = VectorField(lambda t, y: np.full_like(y, np.inf))
+        with pytest.raises(IntegrationError, match="non-finite field while differencing at t=0.5"):
+            jacobian_fd(f, np.zeros((3, 2)), 0.5)
 
 
 class TestSpectrum:
     def test_zero_field_spectrum(self):
-        config = cfm.TrainConfig.default(
-            DatasetSpec("moons", n=64), seed=0, epochs=1,
-            mlp={"hidden": 8, "n_blocks": 1, "time_embed_dim": 4},
-        )
-        model = cfm.TrainedModel(
-            params=nn.init_params(config.mlp, Rng(0)), config=config,
-            data_mean=np.zeros(2), data_std=np.ones(2),
-        )
-        rows = spectrum_along_trajectory(model, 10, [0.0, 0.5, 1.0], cfm.SolverSpec("rk4", 10), Rng(1))
+        rows = spectrum_along_trajectory(zero_field_model(), 10, [0.0, 0.5, 1.0],
+                                         cfm.SolverSpec("rk4", 10), Rng(1))
         for r in rows:
             assert r.eig1_re_mean == 0.0 and r.eig2_re_mean == 0.0
             assert r.cond_median == float("inf")
@@ -207,6 +228,16 @@ class TestSpectrum:
                                  data_mean=np.zeros(3), data_std=np.ones(3))
         with pytest.raises(ValueError, match="2D"):
             spectrum_along_trajectory(model, 5, [0.0, 1.0], cfm.SolverSpec("rk4", 5), Rng(0))
+
+    @pytest.mark.parametrize("grid", [[], [0.5, 0.0]], ids=["empty", "descending"])
+    def test_time_grid_must_ascend(self, grid):
+        with pytest.raises(ValueError, match="non-empty ascending"):
+            spectrum_along_trajectory(zero_field_model(), 5, grid, cfm.SolverSpec("rk4", 5), Rng(0))
+
+    def test_needs_a_fixed_step_solver(self):
+        with pytest.raises(ValueError, match="fixed-step"):
+            spectrum_along_trajectory(zero_field_model(), 5, [0.0, 1.0], cfm.SolverSpec("dopri5"),
+                                      Rng(0))
 
 
 class TestStepSummary:
@@ -243,6 +274,11 @@ class TestStepSummary:
         with pytest.raises(ValueError):
             dopri_step_summary(SolveTrace(steps=[], nfe_total=0))
 
+    def test_bins_must_be_positive(self):
+        trace = SolveTrace(steps=[StepRecord(0.0, 1.0, 0.5, True, 7)], nfe_total=7)
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            dopri_step_summary(trace, bins=0)
+
 
 class TestStabilityDemo:
     def test_stable_step_decays(self):
@@ -265,6 +301,11 @@ class TestStabilityDemo:
 
     def test_step_cap(self):
         (tr,) = stability_demo(-15.0, [0.01], t1=100.0, n_report=50)
+        assert len(tr.y) == 51
+
+    def test_step_cap_when_t1_over_h_passes_the_float_range(self):
+        # 1e308 / 0.1 is inf, which has no ceiling
+        (tr,) = stability_demo(-15.0, [0.1], t1=1e308, n_report=50)
         assert len(tr.y) == 51
 
     def test_requires_decay(self):

@@ -255,7 +255,7 @@ class TestPersistence:
                 "format_version": cfm.MODEL_FORMAT_VERSION,
                 "config": model.config.to_dict(),
                 "seed": model.config.seed,
-                "params": nn.params_to_arrays(model.params),
+                "params": {name: arr.tolist() for name, arr in model.params.named()},
                 "training_meta": {
                     "epochs": model.config.epochs,
                     "final_loss": model.final_loss,
@@ -309,6 +309,27 @@ class TestPersistence:
         path.write_text(doc)
         with pytest.raises(ValueError, match="format_version"):
             cfm.load_model(path)
+
+    @pytest.mark.parametrize(
+        "text", ['{"format_version": 1, 2: 3}', '{"params": {"in.w": [], 7: []}}'],
+        ids=["top-level", "params"],
+    )
+    def test_non_string_key_gives_the_json_error(self, text, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as got:
+            cfm.load_model(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_json_nested_too_deeply_is_a_value_error(self, tmp_path):
+        # json's decoder raises RecursionError past about 1,000 levels
+        path = tmp_path / "model.json"
+        path.write_text('{"seed": ' + "[" * 3000 + "]" * 3000 + "}")
+        with pytest.raises(ValueError, match="JSON nested too deeply") as exc_info:
+            cfm.load_model(path)
+        assert str(exc_info.value).startswith(f"model file {path}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fmsolve import cli
+from fmsolve import cli, ode
 
 TINY_CONFIG = {
     "format_version": 1,
@@ -159,6 +159,16 @@ class TestSampleCmd:
         _, rows = read_csv(out / "trace.csv")
         assert any(r[3] == "1" for r in rows)
 
+    @pytest.mark.filterwarnings("error")
+    def test_dopri5_tolerances_at_the_float_range_edge(self, trained, capsys):
+        # the tolerance scale overflows: the first step spans [0, 1] and passes
+        workspace, model = trained
+        capsys.readouterr()
+        assert cli.main(["sample", "--model", str(model), "--solver", "dopri5", "--atol", "1e308",
+                         "--rtol", "1e308", "--n", "8", "--out", str(workspace / "samp")]) == 0
+        captured = capsys.readouterr()
+        assert "NFE 7" in captured.out and not captured.err
+
     def test_missing_steps_is_usage_error(self, trained):
         workspace, model = trained
         code = cli.main(["sample", "--model", str(model), "--solver", "euler",
@@ -237,6 +247,21 @@ class TestBenchmarkCmd:
         assert "solver_grid[0]" in captured.err
         assert not out.exists()
 
+    def test_failed_spec_warns_and_keeps_the_rest(self, trained, monkeypatch, capsys):
+        workspace, model = trained
+        monkeypatch.setattr(ode, "MAX_STEPS", 1)  # dopri5 needs more attempts on this model
+        grid = [{"method": "euler", "steps": 5}, {"method": "dopri5"}]
+        cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=grid))
+        out = workspace / "bench"
+        capsys.readouterr()
+        assert cli.main(["benchmark", "--model", str(model), "--config", cfg, "--n", "16",
+                         "--projections", "4", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: dopri5-adaptive failed: max_steps=1 exhausted at t=")
+        _, rows = read_csv(out / "pareto.csv")
+        assert [r[0] for r in rows] == ["euler"]
+
     def test_needs_model_or_sweep(self, workspace):
         assert cli.main(["benchmark", "--out", str(workspace / "x")]) == 2
 
@@ -293,6 +318,15 @@ class TestJacobianCmd:
 
 
 class TestDopriTraceCmd:
+    @pytest.mark.filterwarnings("error")
+    def test_tolerances_at_the_float_range_edge(self, trained, capsys):
+        workspace, model = trained
+        capsys.readouterr()
+        assert cli.main(["dopri-trace", "--model", str(model), "--atol", "1e308", "--rtol", "1e308",
+                         "--n", "8", "--out", str(workspace / "dt")]) == 0
+        captured = capsys.readouterr()
+        assert "accepted 1, rejected 0, NFE 7" in captured.out and not captured.err
+
     def test_trace_and_tiling(self, trained):
         workspace, model = trained
         out = workspace / "dt"
@@ -338,6 +372,13 @@ def _model_argv(ws, model, edit):
 def _train_argv(ws, edit):
     return ["train", "--config", _edited(TINY_CONFIG, ws / "edited.json", edit),
             "--out", str(ws / "m.json")]
+
+
+def _deeply_nested(doc, path):
+    # the seed as 3,000 nested lists, past the recursion limit of json's decoder
+    deep = '"seed": ' + "[" * 3000 + "]" * 3000
+    path.write_text(json.dumps({**doc, "seed": None}).replace('"seed": null', deep))
+    return str(path)
 
 
 def _benchmark_argv(ws, model, spec):
@@ -418,6 +459,17 @@ MALFORMED_INPUT = {
         ws, model, lambda d: d["params"]["block0.w1"][0].__setitem__(0, float("nan"))),
     "model-blocks-beyond-the-file": lambda ws, model: _model_argv(
         ws, model, lambda d: d["config"]["mlp"].update(n_blocks=10**5)),
+    "model-param-beyond-the-float-range": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["params"]["block0.w1"][0].__setitem__(0, 10**400)),
+    "model-meta-mean-beyond-the-float-range": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["training_meta"]["data_mean"].__setitem__(0, 10**400)),
+    "model-nested-3000-deep": lambda ws, model: _sample_argv(
+        ws, _deeply_nested(json.loads(model.read_text()), ws / "deep.json")),
+    "config-nested-3000-deep": lambda ws, model: [
+        "train", "--config", _deeply_nested(TINY_CONFIG, ws / "deep.json"),
+        "--out", str(ws / "m.json")],
+    "config-lr-beyond-the-float-range": lambda ws, model: _train_argv(
+        ws, lambda d: d["train"].update(lr=10**400)),
     "tolerances-below-round-off": lambda ws, model: ["sample", "--model", str(model),
         "--solver", "dopri5", "--atol", "1e-300", "--rtol", "1e-300", "--out", str(ws / "out")],
     "benchmark-without-model": lambda ws, model: ["benchmark", "--out", str(ws / "out")],
@@ -444,6 +496,7 @@ MALFORMED_INPUT = {
 
 
 class TestMalformedInput:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", MALFORMED_INPUT)
     def test_exit_2_with_one_line_message(self, case, trained, monkeypatch, capsys):
         workspace, model = trained
@@ -487,6 +540,11 @@ class TestMalformedInput:
         grid = [{"method": "rk4", "steps": 4}, entry]
         cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=grid))
         with pytest.raises(cli.ConfigError, match=r"^solver_grid\[1\]: "):
+            cli.load_run_config(cfg)
+
+    def test_empty_solver_grid_rejected(self, workspace):
+        cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=[]))
+        with pytest.raises(cli.ConfigError, match="solver_grid: expected a non-empty list"):
             cli.load_run_config(cfg)
 
 
@@ -538,10 +596,19 @@ STABILITY_FLAGS = {
     "im-empty": ["--im-min", "1", "--im-max", "1"],
     "re-min-nan": ["--re-min", "nan"],
     "im-max-inf": ["--im-max", "inf"],
+    "re-span-beyond-the-float-range": ["--re-min=-1e308", "--re-max=1e308"],
+}
+
+# finite flags whose demo step count or stability polynomial passes the float range
+FAR_STABILITY_FLAGS = {
+    "demo-t1-1e308": ["--demo-t1", "1e308"],
+    "re-1e100": ["--re-min=-1e100", "--re-max=1e100"],
+    "im-1e52": ["--im-min=-1e52", "--im-max=1e52"],
 }
 
 
 class TestStabilityFlags:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", STABILITY_FLAGS)
     def test_rejected_before_any_file(self, case, tmp_path, capsys):
         out = tmp_path / "stab"
@@ -549,6 +616,19 @@ class TestStabilityFlags:
         assert cli.main(argv) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", FAR_STABILITY_FLAGS)
+    def test_far_finite_flags_run(self, case, tmp_path, capsys):
+        out = tmp_path / "stab"
+        argv = ["stability", *FAR_STABILITY_FLAGS[case], "--resolution", "21", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert not capsys.readouterr().err
+        # an overflowing |R(z)| is written as inf, outside the region
+        assert "nan" not in (out / "stability_dopri5.csv").read_text()
+        # each of the demo's three step sizes runs ceil(t1 / h) steps, at most 200
+        _, rows = read_csv(out / "stability_demo.csv")
+        assert len(rows) == (3 * 201 if case == "demo-t1-1e308" else 41 + 31 + 25)
 
 
 class TestSvgOutput:

@@ -26,7 +26,7 @@ def tiny_setup(seed=0, batch=4):
 
 def finite_difference_grads(params, x, t, u, eps=1e-5):
     """Central-difference gradient of the loss for every parameter entry."""
-    fd = params.zeros_like()
+    fd = nn.MlpParams(params.config)
     fd_named = dict(fd.named())
     for name, arr in params.named():
         target = fd_named[name]
@@ -508,14 +508,14 @@ class TestAdam:
         params, _, _, _ = tiny_setup()
         before = params.flat.copy()
         state = nn.AdamState.for_params(params)
-        nn.adam_update(params, params.zeros_like(), state, lr=1e-3)
+        nn.adam_update(params, nn.MlpParams(params.config), state, lr=1e-3)
         assert state.step == 1
         assert np.array_equal(params.flat, before)
 
     def test_first_step_magnitude(self):
         # bias correction makes m_hat/sqrt(v_hat) = g/|g| on step one
         params, _, _, _ = tiny_setup()
-        grads = params.zeros_like()
+        grads = nn.MlpParams(params.config)
         for _, g in grads.named():
             g[...] = 0.37
         before = params.flat.copy()
@@ -525,7 +525,7 @@ class TestAdam:
 
     def test_identical_grads_update_identically(self):
         params, _, _, _ = tiny_setup()
-        grads = params.zeros_like()
+        grads = nn.MlpParams(params.config)
         for _, g in grads.named():
             g[...] = -0.8
         state = nn.AdamState.for_params(params)
@@ -543,7 +543,7 @@ class TestAdam:
         params = nn.init_params(cfg, rng)
         ref_p, ref_m, ref_v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
         state = nn.AdamState.for_params(params)
-        grads = params.zeros_like()
+        grads = nn.MlpParams(params.config)
         for t in range(1, 4):
             grads.flat[...] = rng.normal(size=grads.flat.shape) * 10.0 ** (t - 2)
             nn.adam_update(params, grads, state, lr=3e-3)
@@ -584,7 +584,7 @@ class TestInitAndPersistence:
 
     def test_json_round_trip_bit_exact(self):
         params, _, _, _ = tiny_setup()
-        blob = json.dumps(nn.params_to_arrays(params))
+        blob = json.dumps({name: arr.tolist() for name, arr in params.named()})
         loaded = nn.params_from_arrays(TINY, json.loads(blob))
         for (_, a), (_, b) in zip(params.named(), loaded.named()):
             assert np.array_equal(a, b)
@@ -598,7 +598,7 @@ class TestInitAndPersistence:
 
     def test_load_rejects_bad_payloads(self):
         params, _, _, _ = tiny_setup()
-        arrays = nn.params_to_arrays(params)
+        arrays = {name: arr.tolist() for name, arr in params.named()}
         missing = dict(arrays)
         del missing["out.w"]
         with pytest.raises(ValueError, match="missing"):
@@ -616,7 +616,7 @@ class TestInitAndPersistence:
         params, _, _, _ = tiny_setup()
         params.blocks[0].w1[0, 0] = np.nan
         with pytest.raises(ValueError, match="block0.w1"):
-            nn.params_from_arrays(TINY, nn.params_to_arrays(params))
+            nn.params_from_arrays(TINY, {name: arr.tolist() for name, arr in params.named()})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

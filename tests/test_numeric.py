@@ -108,13 +108,13 @@ class TestFieldTypes:
         [
             lambda: SolverSpec("rk4", 2.5),
             lambda: DatasetSpec("moons", n=True),
-            lambda: StepControlConfig(max_steps=2.5),
+            lambda: MlpConfig(hidden=2.5),
             lambda: DatasetSpec("moons", noise=False),
             lambda: DatasetSpec(7),
             lambda: MlpConfig(hidden=None),
             lambda: StepControlConfig(atol="1e-5"),
         ],
-        ids=["fractional-steps", "bool-count", "fractional-max-steps", "bool-number",
+        ids=["fractional-steps", "bool-count", "fractional-hidden", "bool-number",
              "int-for-str", "none-for-int", "str-for-float"],
     )
     def test_wrong_type_raises_value_error(self, build):
@@ -129,8 +129,10 @@ class TestFieldTypes:
             lambda: StepControlConfig(atol=-float("inf")),
             lambda: StepControlConfig(h_init=float("nan")),
             lambda: SolverSpec("dopri5", rtol=np.float32("nan")),
+            lambda: TrainConfig.default(DatasetSpec("moons"), seed=0, lr=10**400),
         ],
-        ids=["nan-noise", "inf-lr", "minus-inf-atol", "nan-optional", "numpy-nan"],
+        ids=["nan-noise", "inf-lr", "minus-inf-atol", "nan-optional", "numpy-nan",
+             "int-past-floats"],
     )
     def test_non_finite_float_raises_value_error(self, build):
         with pytest.raises(ValueError, match="expected a finite number"):
@@ -139,7 +141,8 @@ class TestFieldTypes:
     def test_numpy_scalars_and_optional_none_accepted(self):
         assert DatasetSpec("moons", n=np.int64(64), noise=np.float32(0.5)).n == 64
         assert SolverSpec("dopri5", atol=1, rtol=np.float64(1e-4)).n_steps is None
-        assert StepControlConfig(h_init=None, max_steps=np.int32(5)).max_steps == 5
+        assert MlpConfig(hidden=np.int32(5)).hidden == 5
+        assert StepControlConfig(h_init=None).h_init is None
 
 
 class TestWriteCsv:

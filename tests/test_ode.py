@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fmsolve import ode
 from fmsolve.numeric import Rng
 from fmsolve.ode import (
     ALPHA_MAX,
@@ -91,6 +92,11 @@ class TestSingleSteps:
         f = VectorField(bad)
         with pytest.raises(ValueError):
             f(0.0, ONE.copy())
+
+    def test_field_output_shape_must_match_state(self):
+        f = VectorField(lambda t, y: np.zeros(3))
+        with pytest.raises(ValueError, match=r"field output shape \(3,\) != state shape \(1,\)"):
+            f(0.0, ONE)
 
 
 class TestIntegrateFixed:
@@ -234,6 +240,11 @@ class TestErrorNorm:
         # (1e200 / 1e-200)^2 is past the float range
         assert error_norm(np.array([1e200]), np.zeros(1), np.zeros(1), 1e-200, 1e-3) == np.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_scale_past_the_float_range_is_zero_without_a_warning(self):
+        # atol + 10 * rtol overflows at rtol = 1e308: the error is nothing beside it
+        assert error_norm(np.ones(2), np.full(2, 10.0), np.zeros(2), 1e308, 1e308) == 0.0
+
 
 class TestProposeStep:
     def test_controller_constants(self):
@@ -270,15 +281,16 @@ class TestProposeStep:
         cfg = StepControlConfig(atol=atol, rtol=rtol)
         assert (cfg.atol, cfg.rtol) == (atol, rtol)
 
-    @pytest.mark.parametrize("bad", [{"h_init": 0.0}, {"h_init": -0.1}, {"max_steps": 0}])
+    @pytest.mark.parametrize("bad", [{"h_init": 0.0}, {"h_init": -0.1}])
     def test_config_rejects_runs_that_cannot_advance(self, bad):
-        # h_init = 0 was accepted and "advanced" by zero steps until max_steps
-        # ran out; a negative one ended in a misleading step size underflow
+        # h_init = 0 was accepted and "advanced" by zero steps until the
+        # attempt budget ran out; a negative one ended in a misleading step
+        # size underflow
         with pytest.raises(ValueError):
             StepControlConfig(**bad)
 
     def test_config_fields(self):
-        assert [f.name for f in fields(StepControlConfig)] == ["atol", "rtol", "h_init", "max_steps"]
+        assert [f.name for f in fields(StepControlConfig)] == ["atol", "rtol", "h_init"]
 
 
 class TestInitialStepGuess:
@@ -383,12 +395,29 @@ class TestDopri5:
                 if steps[i].accepted and steps[i - 1].accepted and steps[i + 1].h > steps[i].h]
         assert grew, "growth is capped only right after a rejection"
 
-    def test_max_steps_exhaustion(self):
+    def test_max_steps_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(ode, "MAX_STEPS", 10)
         f = decay_field(-1e6)
-        cfg = StepControlConfig(atol=1e-12, rtol=1e-12, max_steps=10)
-        with pytest.raises(IntegrationError) as exc_info:
+        cfg = StepControlConfig(atol=1e-12, rtol=1e-12)
+        with pytest.raises(IntegrationError, match="max_steps=10 exhausted at t=") as exc_info:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t is not None and exc_info.value.h is not None
+
+    def test_needs_t1_after_t0(self):
+        for t1 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="need t1 > t0"):
+                integrate_dopri5(decay_field(), ONE, 0.0, t1, self.CFG)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tolerances_at_the_float_range_edge(self):
+        # the tolerance scale overflows, so every norm is 0: one step spans
+        # the interval, and the starting-step heuristic needs no trial
+        f = decay_field()
+        y, trace = integrate_dopri5(f, np.array([2.0, -3.0]), 0.0, 1.0,
+                                    StepControlConfig(atol=1e308, rtol=1e308))
+        assert [(s.h, s.accepted) for s in trace.steps] == [(1.0, True)]
+        assert trace.nfe_total == 7
+        assert y == pytest.approx(np.array([2.0, -3.0]) * np.exp(-1.0), rel=1e-2)
 
     def test_step_size_underflow_stops_promptly(self):
         # y' = y^2, y(0) = 1.01 blows up at t = 1/1.01: h collapses towards the
@@ -400,11 +429,12 @@ class TestDopri5:
         assert exc_info.value.t == pytest.approx(1 / 1.01, abs=1e-3)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_error_norm_rejects_the_attempt(self):
+    def test_overflowing_error_norm_rejects_the_attempt(self, monkeypatch):
         # an atol-dominated norm of a field of size 1e200: every error norm
         # overflows, so each attempt is rejected with the largest shrink
+        monkeypatch.setattr(ode, "MAX_STEPS", 10)
         f = VectorField(lambda t, y: np.full_like(y, 1e200 * t**5))
-        cfg = StepControlConfig(atol=1e-8, rtol=1e-300, h_init=0.5, max_steps=10)
+        cfg = StepControlConfig(atol=1e-8, rtol=1e-300, h_init=0.5)
         with pytest.raises(IntegrationError, match="max_steps") as exc_info:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t == 0.0
@@ -525,12 +555,21 @@ class TestStability:
 
     @pytest.mark.parametrize(
         "re_range, im_range",
-        [((3, -3), (-1, 1)), ((-1, 1), (1, 1)), ((np.nan, 1), (-1, 1)), ((-1, 1), (-1, np.inf))],
-        ids=["reversed", "empty", "nan", "inf"],
+        [((3, -3), (-1, 1)), ((-1, 1), (1, 1)), ((np.nan, 1), (-1, 1)), ((-1, 1), (-1, np.inf)),
+         ((-1e308, 1e308), (-1, 1))],
+        ids=["reversed", "empty", "nan", "inf", "span-overflow"],
     )
     def test_range_validation(self, re_range, im_range):
         with pytest.raises(ValueError, match="must be finite with min < max"):
             stability_region_grid("euler", re_range, im_range, 5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_past_the_float_range_lie_outside(self):
+        # |R(z)| of rk4 passes the float range at |z| = 5e99: inf, not nan
+        r = stability_region_grid("rk4", (-1e100, 1e100), (-1, 1), 5)
+        far = r.magnitude[:, [0, 1, 3, 4]]
+        assert np.isinf(far).all() and not r.inside[:, [0, 1, 3, 4]].any()
+        assert r.inside[2, 2]  # z = 0
 
     def test_raster_csv_exact_bytes(self, tmp_path):
         r = stability_region_grid("euler", (-2, 0), (-1, 1), (3, 2))
