@@ -51,7 +51,8 @@ STREAM_TRAIN = 2
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss); carries epoch and step index."""
+    """Training aborted: the data or its statistics overflow, or the loss became
+    non-finite, which carries the epoch and step index."""
 
     def __init__(self, message, epoch=None, step=None):
         super().__init__(message)
@@ -200,12 +201,15 @@ def train(config):
 
     One epoch is a full pass over the fixed pre-generated dataset,
     reshuffled each epoch.  Deterministic for a fixed config and seed.
-    Raises :class:`TrainingError` if the loss goes non-finite.
+    Raises :class:`TrainingError` if the data points, their mean or their
+    standard deviation overflow, or if the loss goes non-finite.
     """
     root = Rng(config.seed)
-    raw = generate(config.dataset, root.stream_rng(STREAM_DATASET))
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = generate(config.dataset, root.stream_rng(STREAM_DATASET))
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise TrainingError("the dataset's points, mean or standard deviation overflow")
     std = np.where(std > 0, std, 1.0)  # guard degenerate axes
     data = (raw - mean) / std
 

@@ -208,56 +208,59 @@ def _tiles(n):
 
 
 def _activations(config, rows):
-    """New (z, hs, caches, two tile-sized scratch arrays) for up to ``rows`` rows."""
+    """New (z, hs, caches, y, sig, a) for up to ``rows`` rows: per block
+    (xhat, inv_std), and three hidden-width scratch arrays."""
     d_in, width, blocks = config.data_dim + config.time_embed_dim, config.hidden, config.n_blocks
-    caches = [[np.empty((rows, w)) for w in (width, width, 1, width, width)] for _ in range(blocks)]
+    caches = [(np.empty((rows, width)), np.empty((rows, 1))) for _ in range(blocks)]
     return (np.empty((rows, d_in)), list(np.empty((blocks + 1, rows, width))), caches,
-            *np.empty((2, min(rows, _TILE_ROWS), width)))
+            *np.empty((3, rows, width)))
 
 
 def _forward(params, x, t, keep):
-    """The network pass: ``(v, (z, hs, caches))`` with the input rows z, the
-    hidden state entering each block and leaving the last, and per block
-    (g, xhat, inv_std, sig, s), which the backward pass reads.
+    """The network pass: ``(v, (z, hs, caches, y, sig, a))`` with the input
+    rows z, the hidden state entering each block and leaving the last, per
+    block (xhat, inv_std), and three scratch arrays for the backward pass.
 
     The input projection and the blocks run on one tile of rows (see _tiles)
     before the next; the output projection is one product over all rows,
-    because a row split changes its bits.  Each operation writes into the
-    rows of the array it is handed: the leading n rows of ``keep``'s (see
+    because a row split changes its bits.  Each block writes LayerNorm's
+    output into y, the sigmoid into sig, its denominator and then the silu
+    into a, and the w2 product into y.  Each operation writes into the rows
+    of the array it is handed: the leading n rows of ``keep``'s (see
     _activations), or else of those ``params`` holds for the latest row
     count, the hidden state of all n rows and four tile-sized buffers (input
-    rows; g, xhat and s; sig and the w2 product; scratch).
+    rows; y, which xhat shares; sig; a).
     """
     cfg, n = params.config, x.shape[0]
     dim, width, m = cfg.time_embed_dim, cfg.hidden, min(n, _TILE_ROWS)
     if not keep and (params._buffers is None or len(params._buffers[1][0]) != n):
-        h, (a, product, denom) = np.empty((n, width)), np.empty((3, m, width))
+        h, (y, sig, a) = np.empty((n, width)), np.empty((3, m, width))
         params._buffers = (np.empty((m, cfg.data_dim + dim)), [h] * (cfg.n_blocks + 1),
-                           [(a, a, np.empty((m, 1)), product, a)] * cfg.n_blocks, product, denom)
-    z, hs, caches, product, denom = keep or params._buffers
-    z, hs, caches = z[:n], [h[:n] for h in hs], [[a[:n] for a in c] for c in caches]
+                           [(y, np.empty((m, 1)))] * cfg.n_blocks, y, sig, a)
+    z, hs, caches, *scratch = keep or params._buffers
+    z, hs, scratch = z[:n], [h[:n] for h in hs], [a[:n] for a in scratch]
+    caches = [[a[:n] for a in c] for c in caches]
     # a scalar t (every sampling call) embeds once, per-row times by tile
     shared = np.broadcast_to(time_embed(t, dim), (n, dim)) if np.ndim(t) == 0 else None
     t = np.broadcast_to(t, n)
     for rows in _tiles(n):
-        tile = slice(0, rows.stop - rows.start)
-        own = rows if keep else tile  # the rows of z and caches
+        own = rows if keep else slice(0, rows.stop - rows.start)  # rows of z, caches, scratch
+        y, sig, a = (b[own] for b in scratch)
         z_rows = np.concatenate([x[rows], time_embed(t[rows], dim) if shared is None
                                  else shared[rows]], axis=1, out=z[own])
         h = np.matmul(z_rows, params.w_in, out=hs[0][rows])
         h += params.b_in
-        for blk, h_out, (g, xhat, inv_std, sig, s) in zip(params.blocks, hs[1:], caches):
-            g = np.matmul(h, blk.w1, out=g[own])
+        for blk, h_out, (xhat, inv_std) in zip(params.blocks, hs[1:], caches):
+            g = np.matmul(h, blk.w1, out=y)
             g += blk.b1
-            _, _, inv_std[own] = _layernorm_forward(g, blk.gamma, blk.beta, out=g,
-                                                    xhat=xhat[own], scratch=denom[tile])
-            sig = _sigmoid(g, out=sig[own], denom=denom[tile])
-            s = np.multiply(g, sig, out=s[own])  # silu
-            h = np.add(h, np.matmul(s, blk.w2, out=product[tile]), out=h_out[rows])
+            _, _, inv_std[own] = _layernorm_forward(g, blk.gamma, blk.beta, out=y,
+                                                    xhat=xhat[own], scratch=sig)
+            s = np.multiply(y, _sigmoid(y, out=sig, denom=a), out=a)  # silu
+            h = np.add(h, np.matmul(s, blk.w2, out=y), out=h_out[rows])
             h += blk.b2
     v = hs[-1] @ params.w_out
     v += params.b_out
-    return v, (z, hs, caches)
+    return v, (z, hs, caches, *scratch)
 
 
 def _guarded(params, run, finite):
@@ -326,27 +329,32 @@ def _backward(params, cache, dv, target, done):
     """The backward pass over :func:`_forward`'s cache, one parameter segment
     at a time from the last.  The gradients of the one at slice s of the flat
     layout go into ``grad = target(s)[:len]``, then ``done(s, grad)`` runs.
-    Temporaries go into dead activations: dh into hs[-1], the rest s, sig, g."""
-    z, hs, caches = cache
+    dh goes into the dead hs[-1].  Each block recomputes from xhat, by the
+    forward pass's operations, LayerNorm's output y, the sigmoid sig and the
+    silu a, which then hold its temporaries until its ``done`` runs."""
+    z, hs, caches, y, sig, a = cache
     grads = [(s, target(s)[:s.stop - s.start]) for s, _ in params.segments]
     views = [_views(grad, seg) for (_, grad), (_, seg) in zip(grads, params.segments)]
     np.matmul(hs[-1].T, dv, out=views[-1][0])
     np.sum(dv, axis=0, out=views[-1][1])
     dh = np.matmul(dv, params.w_out.T, out=hs[-1])
     done(*grads[-1])
-    for k, blk, h_in, (g, xhat, inv_std, sig, s) in zip(
+    for k, blk, h_in, (xhat, inv_std) in zip(
             range(len(params.blocks), 0, -1), params.blocks[::-1], hs[-2::-1], caches[::-1]):
         gblk = BlockParams(*views[k])
+        np.multiply(xhat, blk.gamma, out=y)  # as in _layernorm_forward
+        y += blk.beta
+        s = np.multiply(y, _sigmoid(y, out=sig, denom=a), out=a)
         np.matmul(s.T, dh, out=gblk.w2)
         np.sum(dh, axis=0, out=gblk.b2)
-        dsilu = np.multiply(g, np.subtract(1.0, sig, out=s), out=s)  # sig * (1 + g * (1 - sig))
-        dsilu = np.multiply(sig, np.add(1.0, dsilu, out=s), out=s)
-        dg = np.multiply(np.matmul(dh, blk.w2.T, out=g), dsilu, out=g)
+        dsilu = np.multiply(y, np.subtract(1.0, sig, out=a), out=a)  # sig * (1 + y * (1 - sig))
+        dsilu = np.multiply(sig, np.add(1.0, dsilu, out=a), out=a)
+        dg = np.multiply(np.matmul(dh, blk.w2.T, out=y), dsilu, out=y)
         da, _, _ = _layernorm_backward(dg, xhat, inv_std, blk.gamma, da=dg,
                                        dgamma=gblk.gamma, dbeta=gblk.beta, scratch=sig)
         np.matmul(h_in.T, da, out=gblk.w1)
         np.sum(da, axis=0, out=gblk.b1)
-        dh += np.matmul(da, blk.w1.T, out=s)  # residual passthrough + branch
+        dh += np.matmul(da, blk.w1.T, out=a)  # residual passthrough + branch
         done(*grads[k])
     np.matmul(z.T, dh, out=views[0][0])
     np.sum(dh, axis=0, out=views[0][1])
@@ -428,7 +436,8 @@ def _adam(segment, scratch, lr, step):
 class Workspace:
     """Training steps' arrays for up to ``rows`` rows: activations, a window
     as long as the longest parameter segment for its gradients, and as Adam's
-    scratch the two tile-sized arrays the backward pass does not read."""
+    scratch two of the pass's scratch arrays, which hold nothing live
+    whenever the backward pass hands a segment to Adam."""
 
     def __init__(self, params, rows):
         self.activations = _activations(params.config, rows)
@@ -438,8 +447,10 @@ class Workspace:
     def step(self, params, state, x_t, t, u_t, lr):
         """The floats of :func:`loss_and_grad` then :func:`adam_update`, but
         Adam updates each parameter segment once the backward pass is done
-        with it; returns the loss.  A non-finite one changes nothing."""
-        loss, cache, dv = _loss(params, self.activations, x_t, t, u_t)
+        with it; returns the loss.  A non-finite one changes nothing.  The
+        pass raises no float warnings: the loss it returns reports overflow."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            loss, cache, dv = _loss(params, self.activations, x_t, t, u_t)
         if np.isfinite(loss):
             state.step += 1
             _backward(params, cache, dv, lambda s: self.window,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -123,6 +124,23 @@ class TestTrainCmd:
         header, rows = read_csv(loss_csv)
         assert header == ["epoch", "loss"]
         assert len(rows) == TINY_CONFIG["train"]["epochs"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "lr", 1e300, r"^numeric failure: non-finite loss at epoch \d+, step \d+$"),
+        ("dataset", "noise", 1e300, r"^numeric failure: .*standard deviation overflow$"),
+    ], ids=["lr-1e300", "noise-1e300"])
+    def test_overflow_in_training_exits_3(self, section, key, value, message, tmp_path, capsys):
+        # finite config values whose training overflows: one stderr line
+        # naming the failure, no float warning and no model file
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config[section][key] = value
+        cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and re.search(message, lines[0])
+        assert not out.exists()
 
     def test_seed_env_override(self, workspace, monkeypatch):
         cfg = str(workspace / "cfg.json")

@@ -360,6 +360,22 @@ class TestLossAndGrad:
         expected_loss, expected = nn.loss_and_grad(params, x, t, u)
         assert loss == expected_loss and got.flat.tobytes() == expected.flat.tobytes()
 
+    @pytest.mark.parametrize("setup", [tiny_setup, default_setup, lambda: default_setup(1100)],
+                             ids=["tiny", "256x4", "256x4-1100-rows"])
+    def test_backward_reads_only_the_kept_activations(self, setup):
+        # of the forward pass's arrays the backward pass reads z, hs, xhat
+        # and 1/std; it recomputes y, sig and s, so scratch arrays filled
+        # with NaN after the forward pass give loss_and_grad's bytes (1100
+        # rows run in three tiles)
+        params, x, t, u = setup()
+        _, expected = nn.loss_and_grad(params, x, t, u)
+        _, cache, dv = nn._loss(params, nn._activations(params.config, len(x)), x, t, u)
+        for scratch in cache[3:]:  # y, sig, a
+            scratch.fill(np.nan)
+        got = nn.MlpParams(params.config)
+        nn._backward(params, cache, dv, lambda s: got.flat[s], lambda s, grad: None)
+        assert got.flat.tobytes() == expected.flat.tobytes()
+
     def test_shape_mismatch_rejected(self):
         params, x, t, _ = tiny_setup()
         with pytest.raises(ValueError):
@@ -368,12 +384,17 @@ class TestLossAndGrad:
             nn.loss_and_grad(params, x[:, :1], t, x[:, :1])
 
     def test_allocates_little_beyond_its_activations_and_gradients(self):
-        # one fresh gradient vector, each block's five kept n x hidden arrays
-        # (its input h, g, xhat, sig and s) and four more: the hidden state
-        # the last block leaves, the two scratch arrays of the pass and dh
+        # one fresh gradient vector and 2 * n_blocks + 4 n x hidden arrays:
+        # the hidden state entering each block and leaving the last (dh
+        # reuses that one), each block's xhat, and the three scratch arrays
+        # that the backward pass recomputes y, sig and s into.  Beyond them
+        # only the input rows, each block's 1/std and transients of under
+        # half an n x hidden array.  Keeping g, sig and s per block and two
+        # tile-sized scratch arrays peaked at 14.9 MiB, now 10.4; the bound is 10.55
         params, x, t, u = default_setup()
         n, cfg = x.shape[0], params.config
-        bound = params.flat.nbytes + (5 * cfg.n_blocks + 4) * n * cfg.hidden * 8
+        arrays = (2 * cfg.n_blocks + 4) * n * cfg.hidden + n * (cfg.data_dim + cfg.time_embed_dim)
+        bound = params.flat.nbytes + (arrays + cfg.n_blocks * n + n * cfg.hidden // 2) * 8
         assert traced_peak(nn.loss_and_grad, params, x, t, u) < bound
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
