@@ -45,6 +45,8 @@ def swd(a, b, n_projections, rng):
     Projects both batches onto ``n_projections`` random unit directions
     (normalized Gaussian draws), takes the squared 1D W2 per direction and
     returns the square root of their mean.  Deterministic per rng state.
+    Finite batches whose projected distances pass the float range give inf,
+    without a float warning.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -53,10 +55,11 @@ def swd(a, b, n_projections, rng):
     d = a.shape[1]
     dirs = gaussian_sample(rng, n_projections, d)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    proj_a = np.sort(a @ dirs.T, axis=0)
-    proj_b = np.sort(b @ dirs.T, axis=0)
-    w2_sq = np.mean((proj_a - proj_b) ** 2, axis=0)
-    return float(np.sqrt(np.mean(w2_sq)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj_a = np.sort(a @ dirs.T, axis=0)
+        proj_b = np.sort(b @ dirs.T, axis=0)
+        w2_sq = np.mean((proj_a - proj_b) ** 2, axis=0)
+        return float(np.sqrt(np.mean(w2_sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +170,15 @@ def pareto_benchmark(model, grid, n_samples, n_projections, rng):
     (substream 2 of ``rng``) and is scored on the same projections
     (substream 3), so rows differ by solver only, whatever the grid order.
     A failing solver run does not abort the grid: the offending spec is
-    reported in the second return value together with its error.
+    reported in the second return value together with its error.  Reference
+    points that overflow (a model file's dataset noise near the float range)
+    raise :class:`IntegrationError` before any solver runs.
     """
-    reference = generate(replace(model.config.dataset, n=n_samples), rng.stream_rng(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = generate(replace(model.config.dataset, n=n_samples), rng.stream_rng(1))
+    if not np.isfinite(reference).all():
+        raise IntegrationError(
+            f"the reference points overflow at dataset noise {model.config.dataset.noise:g}")
     rows = []
     failures = []
     for spec in grid:
@@ -237,6 +246,8 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
 
     The solver spec controls the marching between grid times; its n_steps
     budget is spread over [0, 1] proportionally to each segment length.
+    A non-finite eigenvalue raises :class:`IntegrationError` naming t; an
+    infinite condition number (a singular Jacobian) is a valid result.
     """
     if model.data_dim != 2:
         raise ValueError("Jacobian spectrum analysis supports 2D models only")
@@ -251,6 +262,8 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     for i, t in enumerate(time_grid):
         jac = jacobian_fd(f, x, t)
         eig1, eig2 = eig2x2(jac)
+        if not (np.isfinite(eig1).all() and np.isfinite(eig2).all()):
+            raise IntegrationError(f"non-finite Jacobian eigenvalue at t={t}", t=t, y=x)
         rows.append(
             SpectrumRow(
                 t=t,

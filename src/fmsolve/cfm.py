@@ -202,7 +202,8 @@ def train(config):
     One epoch is a full pass over the fixed pre-generated dataset,
     reshuffled each epoch.  Deterministic for a fixed config and seed.
     Raises :class:`TrainingError` if the data points, their mean or their
-    standard deviation overflow, or if the loss goes non-finite.
+    standard deviation overflow, or if a step's loss goes non-finite (which
+    :meth:`nn.Workspace.step` also reports for an overflowed Adam moment).
     """
     root = Rng(config.seed)
     with np.errstate(over="ignore", invalid="ignore"):

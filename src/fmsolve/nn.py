@@ -99,11 +99,11 @@ class MlpParams:
     ``flat``.  A new instance is all zeros.
     """
 
-    def __init__(self, config, _alloc=np.zeros):
+    def __init__(self, config):
         layout = list(_segments(config))
         ends = list(itertools.accumulate(sum(math.prod(s) for _, s in seg) for seg in layout))
         self.config = config
-        self.flat = _alloc(ends[-1])
+        self.flat = np.zeros(ends[-1])
         self.segments = [(slice(lo, end), seg) for lo, end, seg in zip([0, *ends], ends, layout)]
         views = [_views(self.flat[s], seg) for s, seg in self.segments]
         (self.w_in, self.b_in), *blocks, (self.w_out, self.b_out) = views
@@ -196,6 +196,9 @@ def _layernorm_backward(dout, xhat, inv_std, gamma, da=None, dgamma=None, dbeta=
 # forward / backward
 
 _TILE_ROWS = 512  # most rows one tile of the network pass has
+# Every network computation (pass, loss, backward pass, Adam) runs once under
+# these float error settings and reports overflow only through its result.
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 def _tiles(n):
@@ -263,21 +266,6 @@ def _forward(params, x, t, keep):
     return v, (z, hs, caches, *scratch)
 
 
-def _guarded(params, run, finite):
-    """``run()`` with float errors raised; only if one is, or ``finite``
-    rejects the result, are the parameters scanned to name a non-finite one.
-    With finite parameters a raising run reruns under the caller's errstate."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            result = run()
-    except FloatingPointError:
-        params.check_finite()
-        result = run()
-    if not finite(result):
-        params.check_finite()
-    return result
-
-
 def forward(params, x, t):
     """Velocity batch v(x, t); a new array of the shape of x.
 
@@ -288,41 +276,46 @@ def forward(params, x, t):
     It runs the pass of :func:`loss_and_grad`, so training and inference
     compute the same floats by construction, but in buffers ``params``
     holds for the latest row count, so a model must not be evaluated from
-    two threads at once.  A non-finite parameter always makes the output
-    non-finite or raises a floating-point error, and only then are the
-    parameters scanned (see :func:`_guarded`).
+    two threads at once.  The pass emits no float warnings.  A non-finite
+    parameter always makes the output non-finite, and only then are the
+    parameters scanned; finite parameters whose output overflows return it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.data_dim:
         raise ValueError(f"expected batch of shape (n, {params.config.data_dim}), got {x.shape}")
-    return _guarded(params, lambda: _forward(params, x, t, keep=False)[0],
-                    lambda v: v.size and np.isfinite(v).all())
+    with np.errstate(**_QUIET):
+        v = _forward(params, x, t, keep=False)[0]
+    if not (v.size and np.isfinite(v).all()):
+        params.check_finite()
+    return v
 
 
-def loss_and_grad(params, x_t, t, u_t, _alloc=np.empty):
+def loss_and_grad(params, x_t, t, u_t):
     """Mean squared velocity-regression loss and its parameter gradients.
 
     loss = mean over rows of || v(x_t, t) - u_t ||^2.  Returns the scalar
     loss and an :class:`MlpParams`-shaped gradient structure.  Raises
     ValueError if a parameter tensor is non-finite, scanned for as in forward.
     """
-    loss, cache, dv = _loss(params, _activations(params.config, len(x_t)), x_t, t, u_t)
-    grads = MlpParams(params.config, _alloc=_alloc)  # unfilled: the backward pass writes it all
-    _backward(params, cache, dv, lambda s: grads.flat[s], lambda s, grad: None)
+    with np.errstate(**_QUIET):
+        loss, cache, dv = _loss(params, _activations(params.config, len(x_t)), x_t, t, u_t)
+        grads = MlpParams(params.config)
+        _backward(params, cache, dv, lambda s: grads.flat[s], lambda s, grad: None)
     return loss, grads
 
 
 def _loss(params, keep, x_t, t, u_t):
-    """``(loss, cache, dloss/dv)`` by :func:`_forward` into ``keep``, guarded."""
+    """``(loss, cache, dloss/dv)`` by :func:`_forward` into ``keep``; only a
+    non-finite loss makes it scan the parameters."""
     x_t, u_t = np.asarray(x_t, dtype=float), np.asarray(u_t, dtype=float)
     if x_t.shape != u_t.shape:
         raise ValueError(f"batch shapes disagree: {x_t.shape} vs {u_t.shape}")
-
-    def run():
-        v, cache = _forward(params, x_t, t, keep)
-        r = v - u_t
-        return float(np.sum(r * r) / len(r)), cache, (2.0 / len(r)) * r
-    return _guarded(params, run, lambda result: np.isfinite(result[0]))
+    v, cache = _forward(params, x_t, t, keep)
+    r = v - u_t
+    loss = float(np.sum(r * r) / len(r))
+    if not np.isfinite(loss):
+        params.check_finite()
+    return loss, cache, (2.0 / len(r)) * r
 
 
 def _backward(params, cache, dv, target, done):
@@ -413,7 +406,8 @@ def adam_update(params, grads, state, lr):
     """
     state.step += 1
     scratch = np.empty((2, min(_ADAM_CHUNK, params.flat.size)))
-    _adam((params.flat, grads.flat, state.m, state.v), scratch, lr, state.step)
+    with np.errstate(**_QUIET):
+        _adam((params.flat, grads.flat, state.m, state.v), scratch, lr, state.step)
 
 
 def _adam(segment, scratch, lr, step):
@@ -448,15 +442,17 @@ class Workspace:
         """The floats of :func:`loss_and_grad` then :func:`adam_update`, but
         Adam updates each parameter segment once the backward pass is done
         with it; returns the loss.  A non-finite one changes nothing.  The
-        pass raises no float warnings: the loss it returns reports overflow."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        step emits no float warnings: overflow shows in the loss it returns,
+        which is inf when Adam's second moment overflows (after the update)."""
+        with np.errstate(**_QUIET):
             loss, cache, dv = _loss(params, self.activations, x_t, t, u_t)
-        if np.isfinite(loss):
+            if not np.isfinite(loss):
+                return loss
             state.step += 1
             _backward(params, cache, dv, lambda s: self.window,
                       lambda s, grad: _adam((params.flat[s], grad, state.m[s], state.v[s]),
                                             self.scratch, lr, state.step))
-        return loss
+        return loss if state.v.max() < np.inf else math.inf  # a NaN max fails too
 
 
 # ---------------------------------------------------------------------------

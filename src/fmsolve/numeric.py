@@ -91,20 +91,22 @@ def eig2x2(m):
 
     Returns a pair of complex numbers ordered by descending real part,
     ties broken by descending imaginary part.  A ``(..., 2, 2)`` batch gives
-    a pair of complex arrays of shape ``(...)`` instead.
+    a pair of complex arrays of shape ``(...)`` instead.  Entries near the
+    float range give non-finite eigenvalues, without a float warning.
     """
     m = np.asarray(m, dtype=float)
-    tr = m[..., 0, 0] + m[..., 1, 1]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    disc = tr * tr - 4.0 * det
-    real = disc >= 0.0
-    s = np.sqrt(np.abs(disc))
-    # s >= 0, so the "+" root already has the larger real part (real roots)
-    # or the positive imaginary part (complex pair): no reordering needed.
-    lam1 = np.where(real, (tr + s) / 2.0, tr / 2.0).astype(complex)
-    lam2 = np.where(real, (tr - s) / 2.0, tr / 2.0).astype(complex)
-    lam1.imag = np.where(real, 0.0, s / 2.0)
-    lam2.imag = np.where(real, 0.0, -s / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = m[..., 0, 0] + m[..., 1, 1]
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        disc = tr * tr - 4.0 * det
+        real = disc >= 0.0
+        s = np.sqrt(np.abs(disc))
+        # s >= 0, so the "+" root already has the larger real part (real roots)
+        # or the positive imaginary part (complex pair): no reordering needed.
+        lam1 = np.where(real, (tr + s) / 2.0, tr / 2.0).astype(complex)
+        lam2 = np.where(real, (tr - s) / 2.0, tr / 2.0).astype(complex)
+        lam1.imag = np.where(real, 0.0, s / 2.0)
+        lam2.imag = np.where(real, 0.0, -s / 2.0)
     if m.ndim == 2:
         return complex(lam1), complex(lam2)
     return lam1, lam2
@@ -115,16 +117,17 @@ def cond2x2(m):
 
     Singular values come from the closed-form eigenvalues of m^T m.
     Returns ``math.inf`` when sigma_min == 0 (rank-deficient input).  A
-    ``(..., 2, 2)`` batch gives an array of shape ``(...)`` instead.
+    ``(..., 2, 2)`` batch gives an array of shape ``(...)`` instead.  Entries
+    near the float range give inf or nan, without a float warning.
     """
     m = np.asarray(m, dtype=float)
-    # Gram matrix is symmetric PSD; its eigenvalues are the squared singular values.
-    t = m[..., 0, 0] ** 2 + m[..., 0, 1] ** 2 + m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2
-    d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    s = np.sqrt(np.maximum(t * t - 4.0 * d * d, 0.0))
-    smax_sq = (t + s) / 2.0
-    smin_sq = np.maximum((t - s) / 2.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Gram matrix is symmetric PSD; its eigenvalues are the squared singular values.
+        t = m[..., 0, 0] ** 2 + m[..., 0, 1] ** 2 + m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2
+        d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        s = np.sqrt(np.maximum(t * t - 4.0 * d * d, 0.0))
+        smax_sq = (t + s) / 2.0
+        smin_sq = np.maximum((t - s) / 2.0, 0.0)
         cond = np.where(smin_sq == 0.0, np.inf, np.sqrt(smax_sq / smin_sq))
     if m.ndim == 2:
         return float(cond)

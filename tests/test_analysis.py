@@ -77,6 +77,11 @@ class TestSwd:
         with pytest.raises(ValueError):
             swd(np.zeros((3, 2)), np.zeros((4, 2)), 10, Rng(0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_distances_past_the_float_range_give_inf(self):
+        a = Rng(9).normal(size=(50, 2))
+        assert swd(a + 1e308, a, 8, Rng(10)) == np.inf
+
 
 def w2_1d(a, b):
     # one column: every unit direction is +-1, so each slice is the plain 1D

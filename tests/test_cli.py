@@ -129,7 +129,9 @@ class TestTrainCmd:
     @pytest.mark.parametrize("section, key, value, message", [
         ("train", "lr", 1e300, r"^numeric failure: non-finite loss at epoch \d+, step \d+$"),
         ("dataset", "noise", 1e300, r"^numeric failure: .*standard deviation overflow$"),
-    ], ids=["lr-1e300", "noise-1e300"])
+        ("train", "lr", 1e40, r"^numeric failure: non-finite loss at epoch \d+, step \d+$"),
+        ("train", "lr", 1e150, r"^numeric failure: non-finite loss at epoch \d+, step \d+$"),
+    ], ids=["lr-1e300", "noise-1e300", "lr-1e40", "lr-1e150"])
     def test_overflow_in_training_exits_3(self, section, key, value, message, tmp_path, capsys):
         # finite config values whose training overflows: one stderr line
         # naming the failure, no float warning and no model file
@@ -280,6 +282,30 @@ class TestBenchmarkCmd:
         _, rows = read_csv(out / "pareto.csv")
         assert [r[0] for r in rows] == ["euler"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_samples_near_the_float_range_score_inf(self, trained, capsys):
+        # samples round to 1e308, and their distances to the reference overflow
+        workspace, model = trained
+        path = _edited(json.loads(model.read_text()), workspace / "mean.json",
+                       lambda d: d["training_meta"].update(data_mean=[1e308, 1e308]))
+        capsys.readouterr()
+        assert cli.main(["benchmark", "--model", path, "--n", "16", "--projections", "8",
+                         "--out", str(workspace / "out")]) == 0
+        _, rows = read_csv(workspace / "out" / "pareto.csv")
+        assert rows and all(r[3] == "inf" for r in rows)
+        assert not capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_reference_points_overflowing_exit_3(self, trained, capsys):
+        workspace, model = trained
+        path = _edited(json.loads(model.read_text()), workspace / "noisy.json",
+                       lambda d: d["config"]["dataset"].update(noise=1e308))
+        capsys.readouterr()
+        assert cli.main(["benchmark", "--model", path, "--n", "16", "--projections", "8",
+                         "--out", str(workspace / "out")]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "reference points overflow" in lines[0]
+
     def test_needs_model_or_sweep(self, workspace):
         assert cli.main(["benchmark", "--out", str(workspace / "x")]) == 2
 
@@ -319,6 +345,19 @@ class TestJacobianCmd:
         _, rows = read_csv(out / "spectrum.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
         assert all(r[5] == "inf" for r in rows)  # literal inf marker in CSV
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_eigenvalue_exits_3(self, trained, capsys):
+        # an output weight of -1e155 keeps the field finite, but its Jacobian's
+        # characteristic polynomial overflows
+        workspace, model = trained
+        path = _edited(json.loads(model.read_text()), workspace / "far.json",
+                       lambda d: d["params"]["out.w"][2].__setitem__(0, -1e155))
+        capsys.readouterr()
+        assert cli.main(["jacobian", "--model", path, "--n-samples", "8", "--time-points", "3",
+                         "--steps", "5", "--out", str(workspace / "jac")]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "non-finite Jacobian eigenvalue at t=" in lines[0]
 
     def test_non_2d_model_rejected(self, workspace):
         cfg = {
@@ -686,6 +725,30 @@ class TestSvgOutput:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "overflow" in err
         assert not (workspace / "out" / "samples.csv").exists()
+
+
+FAR_PARAMETER_COMMANDS = {
+    "sample-rk4": ["sample", "--solver", "rk4", "--steps", "5", "--n", "8"],
+    "sample-dopri5": ["sample", "--solver", "dopri5", "--n", "8"],
+    "dopri-trace": ["dopri-trace", "--n", "8"],
+    "jacobian": ["jacobian", "--n-samples", "8", "--time-points", "3", "--steps", "5"],
+}
+
+
+class TestFarParameters:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", FAR_PARAMETER_COMMANDS)
+    def test_input_weight_of_1e155_exits_3(self, command, trained, capsys):
+        # a finite weight whose network pass overflows: the pass runs once with
+        # float errors ignored, and the solver or differencer reports the failure
+        workspace, model = trained
+        path = _edited(json.loads(model.read_text()), workspace / "far.json",
+                       lambda d: d["params"]["in.w"][0].__setitem__(0, 1e155))
+        name, *flags = FAR_PARAMETER_COMMANDS[command]
+        capsys.readouterr()
+        assert cli.main([name, "--model", path, *flags, "--out", str(workspace / "out")]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
 
 
 class TestDeterminism:

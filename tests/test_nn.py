@@ -208,15 +208,18 @@ class TestForward:
         with pytest.raises(ValueError, match=f"tensor '{re.escape(name)}'"):
             nn.forward(params, x, t if per_row_t else 0.5)
 
-    def test_overflow_from_extreme_inputs_still_warns(self):
-        # finite parameters: the overflow comes from the input and is
-        # reported under the caller's error handling, with the usual output
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_from_extreme_inputs_is_quiet(self):
+        # finite parameters: the overflow comes from the input; the pass runs
+        # once with float errors ignored and reports it only in the output
         params, _, _, _ = tiny_setup()
         x = np.array([[1e200, -1e200], [0.1, 0.2]])
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            v = nn.forward(params, x, 0.9)
-        with np.errstate(over="ignore"):
-            assert v.tobytes() == nn._forward(params, x, 0.9, nn._activations(params.config, 2))[0].tobytes()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            nn._forward(params, x, 0.9, nn._activations(params.config, 2))
+        v = nn.forward(params, x, 0.9)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            expected = nn._forward(params, x, 0.9, nn._activations(params.config, 2))[0]
+        assert v.tobytes() == expected.tobytes()
 
     def test_matches_cached_forward_bit_for_bit(self):
         # forward reuses per-model buffers; every result must equal the
@@ -354,11 +357,13 @@ class TestLossAndGrad:
 
     @pytest.mark.parametrize("setup", [tiny_setup, default_setup], ids=["tiny", "256x4"])
     def test_backward_writes_every_gradient_entry(self, setup):
-        # the public call hands the backward pass an uninitialized vector
+        # a target filled with NaN gives loss_and_grad's bytes
         params, x, t, u = setup()
-        loss, got = nn.loss_and_grad(params, x, t, u, _alloc=lambda size: np.full(size, np.nan))
         expected_loss, expected = nn.loss_and_grad(params, x, t, u)
-        assert loss == expected_loss and got.flat.tobytes() == expected.flat.tobytes()
+        loss, cache, dv = nn._loss(params, nn._activations(params.config, len(x)), x, t, u)
+        got = np.full(params.flat.size, np.nan)
+        nn._backward(params, cache, dv, lambda s: got[s], lambda s, grad: None)
+        assert loss == expected_loss and got.tobytes() == expected.flat.tobytes()
 
     @pytest.mark.parametrize("setup", [tiny_setup, default_setup, lambda: default_setup(1100)],
                              ids=["tiny", "256x4", "256x4-1100-rows"])
@@ -442,6 +447,17 @@ class TestTrainStep:
         assert state.step == 1
         for got, kept in zip((params.flat, state.m, state.v), before):
             assert got.tobytes() == kept.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_second_moment_overflow_gives_inf_loss(self):
+        # a finite loss whose gradients square past the float range: the step
+        # runs once, quietly, and reports the overflowed moment as its loss
+        params, x, t, u = default_setup()
+        state = nn.AdamState.for_params(params)
+        x, u = x * 1e10, np.full_like(u, 1e150)
+        assert np.isfinite(nn.loss_and_grad(params, x, t, u)[0])
+        assert nn.Workspace(params, 256).step(params, state, x, t, u, 1e-3) == np.inf
+        assert state.step == 1 and not np.isfinite(state.v).all()
 
     def test_later_step_allocates_less_than_one_hidden_array(self):
         # the activations, gradients and Adam scratch all live in the

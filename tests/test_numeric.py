@@ -74,6 +74,12 @@ class TestEig2x2:
         assert lam1.shape == (2, 2)
         assert list(zip(lam1.ravel(), lam2.ravel())) == [eig2x2(m) for m in ms]
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_range_give_non_finite_values_quietly(self):
+        lam1, lam2 = eig2x2([[1e155, 1.0], [1.0, -1e155]])
+        assert not (np.isfinite(lam1) and np.isfinite(lam2))
+        assert not np.isfinite(cond2x2([[1e155, 1.0], [1.0, -1e155]]))
+
 
 class TestCond2x2:
     def test_identity(self):
