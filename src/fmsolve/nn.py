@@ -108,7 +108,6 @@ class MlpParams:
         views = [_views(self.flat[s], seg) for s, seg in self.segments]
         (self.w_in, self.b_in), *blocks, (self.w_out, self.b_out) = views
         self.blocks = [BlockParams(*vs) for vs in blocks]
-        self._buffers = None  # forward's arrays for the latest row count
 
     def named(self):
         """(name, array) pairs in a fixed canonical order."""
@@ -230,17 +229,16 @@ def _forward(params, x, t, keep):
     output into y, the sigmoid into sig, its denominator and then the silu
     into a, and the w2 product into y.  Each operation writes into the rows
     of the array it is handed: the leading n rows of ``keep``'s (see
-    _activations), or else of those ``params`` holds for the latest row
-    count, the hidden state of all n rows and four tile-sized buffers (input
-    rows; y, which xhat shares; sig; a).
+    _activations), or else of new ones, the hidden state of all n rows and
+    four tile-sized arrays (input rows; y, which xhat shares; sig; a).
     """
     cfg, n = params.config, x.shape[0]
     dim, width, m = cfg.time_embed_dim, cfg.hidden, min(n, _TILE_ROWS)
-    if not keep and (params._buffers is None or len(params._buffers[1][0]) != n):
+    if not keep:
         h, (y, sig, a) = np.empty((n, width)), np.empty((3, m, width))
-        params._buffers = (np.empty((m, cfg.data_dim + dim)), [h] * (cfg.n_blocks + 1),
-                           [(y, np.empty((m, 1)))] * cfg.n_blocks, y, sig, a)
-    z, hs, caches, *scratch = keep or params._buffers
+        arrays = (np.empty((m, cfg.data_dim + dim)), [h] * (cfg.n_blocks + 1),
+                  [(y, np.empty((m, 1)))] * cfg.n_blocks, y, sig, a)
+    z, hs, caches, *scratch = keep or arrays
     z, hs, scratch = z[:n], [h[:n] for h in hs], [a[:n] for a in scratch]
     caches = [[a[:n] for a in c] for c in caches]
     # a scalar t (every sampling call) embeds once, per-row times by tile
@@ -274,11 +272,11 @@ def forward(params, x, t):
     endpoints).  Raises ValueError if any parameter tensor is non-finite.
 
     It runs the pass of :func:`loss_and_grad`, so training and inference
-    compute the same floats by construction, but in buffers ``params``
-    holds for the latest row count, so a model must not be evaluated from
-    two threads at once.  The pass emits no float warnings.  A non-finite
-    parameter always makes the output non-finite, and only then are the
-    parameters scanned; finite parameters whose output overflows return it.
+    compute the same floats by construction, in arrays of its own that it
+    drops on return: a model holds nothing but its parameters.  The pass
+    emits no float warnings.  A non-finite parameter always makes the
+    output non-finite, and only then are the parameters scanned; finite
+    parameters whose output overflows return it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.data_dim:

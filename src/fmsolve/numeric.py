@@ -115,13 +115,17 @@ def eig2x2(m):
 def cond2x2(m):
     """Spectral condition number sigma_max / sigma_min of a 2x2 matrix.
 
-    Singular values come from the closed-form eigenvalues of m^T m.
+    Singular values come from the closed-form eigenvalues of m^T m, after
+    each matrix is scaled by the power of two that brings its largest
+    |entry| into [0.5, 1), which is exact and leaves the ratio as it is.
     Returns ``math.inf`` when sigma_min == 0 (rank-deficient input).  A
-    ``(..., 2, 2)`` batch gives an array of shape ``(...)`` instead.  Entries
-    near the float range give inf or nan, without a float warning.
+    ``(..., 2, 2)`` batch gives an array of shape ``(...)`` instead.  A
+    non-finite entry gives inf or nan, without a float warning.
     """
     m = np.asarray(m, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _, e = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))
+        m = np.ldexp(m, -e)
         # Gram matrix is symmetric PSD; its eigenvalues are the squared singular values.
         t = m[..., 0, 0] ** 2 + m[..., 0, 1] ** 2 + m[..., 1, 0] ** 2 + m[..., 1, 1] ** 2
         d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]

@@ -312,6 +312,15 @@ ORDER_EXPONENT = 1.0 / 6.0
 #: attempts, accepted or rejected, of one adaptive run before it gives up
 MAX_STEPS = 100_000
 
+# Stiffness test of dopri5 (Hairer & Wanner, Solving ODEs II, IV.2): stages 6
+# and 7 both sit at t + h, so h*|lambda| ~ h * ||k7 - k6|| / ||y5 - y6||, with
+# y5 - y6 = h * sum_j (b_j - a_6j) k_j (nan when both see one state).  An
+# accepted step past 3.25 (dopri5's real-axis boundary is 3.3066) is stiff; 6
+# non-stiff ones in a row reset the count, and 15 stiff ones stop a run whose
+# step cannot reach t1 in the attempts left.
+_STIFF_H_LAMBDA, _STIFF_STEPS, _CALM_STEPS = 3.25, 15, 6
+_STAGE_GAP = DOPRI5.b - DOPRI5.a[5]
+
 
 # Smallest step relative to |t| the adaptive loop attempts.  Below it t + h
 # carries too few significant bits of h for the error estimate to mean
@@ -390,9 +399,12 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     step, which damps accept/reject oscillation.  Raises
     :class:`IntegrationError` when :data:`MAX_STEPS` attempts are exhausted, a
     stage goes non-finite, the proposed state goes non-finite ("state
-    became non-finite", as in :func:`integrate_fixed`), or the step size
-    underflows (h = 0 or h < 16*eps*|t|, as near a finite-time blow-up).
-    An error norm beyond the float range rejects the attempt.
+    became non-finite", as in :func:`integrate_fixed`), the step size
+    underflows (h = 0 or h < 16*eps*|t|, as near a finite-time blow-up), or
+    the run is "stability-bound": 15 accepted steps were stiff (see
+    _STIFF_H_LAMBDA; the test costs no evaluation) and (t1 - t) / h steps
+    more would pass the attempts left.  An error norm beyond the float
+    range rejects the attempt.
 
     Returns ``(y_final, SolveTrace)``; the trace records every attempt,
     rejections included.
@@ -410,6 +422,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     h = initial_step_guess(f, t0, y, t1, cfg, f0=k1)
 
     just_rejected = False
+    stiff = calm = 0  # stiff accepted steps; non-stiff ones in a row
     while t < t1:
         attempt = len(trace.steps)
         if attempt >= MAX_STEPS:
@@ -436,6 +449,17 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
             y = y5
             t = t1 if is_last else t + h
             k1 = k[-1]  # FSAL
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                h_lambda = float(np.sqrt(np.sum(np.square(k[6] - k[5]))
+                                         / np.sum(np.square(_weighted_sum(_STAGE_GAP, k)))))
+            calm = 0 if h_lambda > _STIFF_H_LAMBDA else calm + 1
+            stiff = 0 if calm == _CALM_STEPS else stiff + (calm == 0)
+            if stiff >= _STIFF_STEPS and (t1 - t) / h > MAX_STEPS - len(trace.steps):
+                raise IntegrationError(
+                    f"stability-bound at t={t}: h={h} (h*|lambda|={h_lambda:.3g}) cannot "
+                    f"reach t1={t1} in the {MAX_STEPS - len(trace.steps)} attempts left",
+                    t=t, y=y, h=h, step_index=attempt,
+                )
         h_next = propose_step(h, err)
         h = min(h_next, h) if not accepted or just_rejected else h_next
         just_rejected = not accepted

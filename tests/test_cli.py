@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import random
 import re
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from test_cfm import edited_model_texts
 
 from fmsolve import cli, ode
 
@@ -749,6 +752,65 @@ class TestFarParameters:
         assert cli.main([name, "--model", path, *flags, "--out", str(workspace / "out")]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_input_weight_of_1e10_stops_dopri5_promptly(self, trained, capsys):
+        # the field stays finite but holds dopri5's step at its stability
+        # boundary, about 1e-7: the trace took all 100,000 attempts
+        workspace, model = trained
+        path = _edited(json.loads(model.read_text()), workspace / "stiff.json",
+                       lambda d: d["params"]["in.w"][0].__setitem__(0, 1e10))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert cli.main(["dopri-trace", "--model", path, "--n", "8",
+                         "--out", str(workspace / "out")]) == 3
+        assert time.perf_counter() - start < 5
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: stability-bound at t=")
+
+
+# the commands that read a model file, at sizes that keep a case near 0.05 s
+MODEL_COMMANDS = {
+    "sample": ["--solver", "dopri5", "--n", "8"],
+    "benchmark": ["--n", "8", "--projections", "4"],
+    "jacobian": ["--n-samples", "4", "--time-points", "2", "--steps", "3"],
+    "dopri-trace": ["--n", "8"],
+}
+
+
+class TestEditedModelFilesThroughTheCli:
+    BUDGET = 300
+    SECONDS = 10  # per case
+
+    @pytest.mark.filterwarnings("error")
+    def test_exit_codes_hold(self, trained, capsys):
+        # each case edits the model file once (test_cfm's generator: a key
+        # deleted, a value from its pool, a tensor reshaped, a foreign entry,
+        # a repeated name, other key order or whitespace, a damaged character)
+        # and runs one command on it.  Exit 0, 2 or 3, never a traceback; one
+        # stderr line on failure (benchmark warns of failed specs and exits
+        # 0); no output directory on exit 2; a time bound
+        workspace, model = trained
+        commands = random.Random(20)
+        failures = []
+        texts = edited_model_texts(json.loads(model.read_text()), seed=20, budget=self.BUDGET)
+        for i, text in enumerate(texts):
+            path, out = workspace / "edited.json", workspace / f"out{i}"
+            path.write_text(text)
+            name = commands.choice(sorted(MODEL_COMMANDS))
+            capsys.readouterr()
+            start = time.perf_counter()
+            try:
+                code = cli.main([name, "--model", str(path), *MODEL_COMMANDS[name],
+                                 "--out", str(out)])
+            except Exception as exc:  # every escape is a finding
+                code = repr(exc)
+            seconds = time.perf_counter() - start
+            err = capsys.readouterr().err.strip().splitlines()
+            if (code not in (0, 2, 3) or code and len(err) != 1 or (code == 2 and out.exists())
+                    or seconds > self.SECONDS):
+                failures.append((i, name, code, err, round(seconds, 2), text[:200]))
+        assert not failures, failures[:3]
 
 
 class TestDeterminism:

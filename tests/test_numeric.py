@@ -78,7 +78,6 @@ class TestEig2x2:
     def test_entries_near_the_float_range_give_non_finite_values_quietly(self):
         lam1, lam2 = eig2x2([[1e155, 1.0], [1.0, -1e155]])
         assert not (np.isfinite(lam1) and np.isfinite(lam2))
-        assert not np.isfinite(cond2x2([[1e155, 1.0], [1.0, -1e155]]))
 
 
 class TestCond2x2:
@@ -93,6 +92,15 @@ class TestCond2x2:
         assert cond2x2(np.zeros((2, 2))) == float("inf")
         batch = np.array([[[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)), np.eye(2)])
         assert cond2x2(batch).tolist() == [float("inf"), float("inf"), 1.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_range_scale_away(self):
+        # the Gram terms of the raw entries overflowed: inf - inf gave nan for
+        # a singular matrix and for a symmetric one whose eigenvalues are +-r
+        assert cond2x2([[1.0, 1e200], [0.0, 0.0]]) == float("inf")
+        assert cond2x2([[1e155, 1.0], [1.0, -1e155]]) == 1.0
+        assert cond2x2([[1e300, 0.0], [0.0, 1e299]]) == pytest.approx(10.0)
+        assert np.isnan(cond2x2([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_at_least_one_and_scale_invariant(self):
         rng = Rng(5)

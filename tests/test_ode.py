@@ -403,6 +403,27 @@ class TestDopri5:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t is not None and exc_info.value.h is not None
 
+    @pytest.mark.filterwarnings("error")
+    def test_stability_bound_run_stops_promptly(self):
+        # at y' = -1e7 y the step is held at dopri5's stability boundary,
+        # h ~ 3.3e-7, and t1 is 3 million attempts away: the stiffness test
+        # stops the run, which took all 100,000 attempts (600,002 NFE)
+        f = decay_field(-1e7)
+        with pytest.raises(IntegrationError, match=r"^stability-bound at t=") as exc_info:
+            integrate_dopri5(f, ONE, 0.0, 1.0, self.CFG)
+        assert exc_info.value.step_index < 100
+        assert f.nfe <= 2 + 6 * 100
+
+    def test_stability_bound_run_within_the_budget_finishes(self, monkeypatch):
+        # y' = -1e4 y is held at the boundary as well (h ~ 3.3e-4), but t1 is
+        # about 3,100 attempts away: the run stops only on a smaller budget
+        _, trace = integrate_dopri5(decay_field(-1e4), ONE, 0.0, 1.0, self.CFG)
+        assert 3000 < len(trace.steps) < 3200
+        monkeypatch.setattr(ode, "MAX_STEPS", 2000)
+        with pytest.raises(IntegrationError, match=r"^stability-bound at t=") as exc_info:
+            integrate_dopri5(decay_field(-1e4), ONE, 0.0, 1.0, self.CFG)
+        assert exc_info.value.step_index < 100
+
     def test_needs_t1_after_t0(self):
         for t1 in (0.0, -1.0):
             with pytest.raises(ValueError, match="need t1 > t0"):
