@@ -2,15 +2,15 @@
 and the diagnostics connecting the two: convergence orders, stability
 regions, NFE/SWD benchmarks, Jacobian spectra and adaptive step traces."""
 
-from .cfm import SolverSpec, TrainConfig, TrainedModel, load_model, sample, save_model, train
+from .cfm import TrainConfig, TrainedModel, load_model, sample, save_model, train
 from .data import DatasetSpec, generate
 from .numeric import Rng, cond2x2, eig2x2, gaussian_sample
 from .ode import (
     DOPRI5,
     ButcherTableau,
     IntegrationError,
+    SolverSpec,
     SolveTrace,
-    StepControlConfig,
     VectorField,
     integrate_dopri5,
     integrate_fixed,
@@ -31,7 +31,6 @@ __all__ = [
     "ButcherTableau",
     "DOPRI5",
     "SolveTrace",
-    "StepControlConfig",
     "rk_step",
     "integrate_fixed",
     "integrate_dopri5",

@@ -112,11 +112,11 @@ def dopri5_tolerance_study(problem, tol_list):
     """Adaptive-solver counterpart of :func:`convergence_study`: global error
     as the shared atol=rtol tolerance is swept.  Rows reuse ConvergenceRow
     with the tolerance in the h slot."""
-    from .ode import StepControlConfig, integrate_dopri5
+    from .ode import SolverSpec, integrate_dopri5
 
     rows = []
     for tol in tol_list:
-        err = _global_error(problem, integrate_dopri5, StepControlConfig(atol=tol, rtol=tol))
+        err = _global_error(problem, integrate_dopri5, SolverSpec("dopri5", atol=tol, rtol=tol))
         rows.append(ConvergenceRow(method="dopri5", h=tol, global_error=err))
     return rows
 

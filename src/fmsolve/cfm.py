@@ -27,10 +27,11 @@ import numpy as np
 from . import nn
 from .data import DatasetSpec, generate
 from .numeric import Rng, check_field_types, check_keys, check_version, gaussian_sample
-from .ode import TABLEAUS, IntegrationError, StepControlConfig, VectorField, integrate_dopri5, integrate_fixed
+from .ode import IntegrationError, SolverSpec, VectorField, integrate_dopri5, integrate_fixed
 
 __all__ = [
     "TrainConfig",
+    "MAX_TRAIN_STEPS",
     "CfmBatch",
     "SolverSpec",
     "TrainedModel",
@@ -48,6 +49,10 @@ MODEL_FORMAT_VERSION = 1
 STREAM_DATASET = 0
 STREAM_INIT = 1
 STREAM_TRAIN = 2
+
+#: optimizer steps, epochs * ceil(dataset.n / batch_size), one training run
+#: may take: the defaults take 2,400, and 10**7 is about 3.5 days at 30 ms a step
+MAX_TRAIN_STEPS = 10**7
 
 
 class TrainingError(RuntimeError):
@@ -75,6 +80,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        steps = self.epochs * -(-self.dataset.n // self.batch_size)
+        if steps > MAX_TRAIN_STEPS:
+            raise ValueError(f"train.epochs={self.epochs} gives {steps} optimizer steps, "
+                             f"past the ceiling of {MAX_TRAIN_STEPS}")
         if self.mlp.data_dim != self.dataset.data_dim:
             raise ValueError(
                 f"mlp.data_dim={self.mlp.data_dim} does not match "
@@ -104,50 +113,6 @@ class TrainConfig:
         check_keys(d, "config", required=("dataset", "mlp", "epochs", "batch_size", "lr"))
         nested = {"dataset": DatasetSpec(**d["dataset"]), "mlp": nn.MlpConfig(**d["mlp"])}
         return cls(**{**d, **nested}, seed=seed)
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """Which solver to sample with: fixed-step methods take n_steps, adaptive
-    ones (a tableau with an embedded pair) take tolerances."""
-
-    method: str
-    n_steps: int | None = None
-    atol: float = StepControlConfig.atol
-    rtol: float = StepControlConfig.rtol
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.method not in TABLEAUS:
-            raise ValueError(f"unknown solver {self.method!r}")
-        if self.adaptive:  # the config sample() will build owns the tolerance rule
-            StepControlConfig(atol=self.atol, rtol=self.rtol)
-        elif self.n_steps is None or self.n_steps < 1:
-            raise ValueError(f"{self.method} needs n_steps >= 1")
-
-    @property
-    def adaptive(self):
-        return TABLEAUS[self.method].b_star is not None
-
-    @property
-    def steps_label(self):
-        return "adaptive" if self.adaptive else str(self.n_steps)
-
-    def to_dict(self):
-        if self.adaptive:
-            return {"method": self.method, "atol": self.atol, "rtol": self.rtol}
-        return {"method": self.method, "steps": self.n_steps}
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of :meth:`to_dict`.  Keys that do not apply to the method
-        (steps for dopri5, atol/rtol for fixed-step methods) are rejected."""
-        rest = dict(d)
-        spec = cls(n_steps=rest.pop("steps", None), **rest)
-        inapplicable = sorted(set(d) - set(spec.to_dict()))
-        if inapplicable:
-            raise ValueError(f"{spec.method} does not take {inapplicable}")
-        return spec
 
 
 @dataclass
@@ -259,8 +224,7 @@ def sample(model, solver, n, rng):
     z0 = gaussian_sample(rng, n, model.data_dim)
     f = velocity_field(model.params)
     if solver.adaptive:
-        cfg = StepControlConfig(atol=solver.atol, rtol=solver.rtol)
-        z1, trace = integrate_dopri5(f, z0, 0.0, 1.0, cfg)
+        z1, trace = integrate_dopri5(f, z0, 0.0, 1.0, solver)
     else:
         z1, trace = integrate_fixed(f, z0, 0.0, 1.0, solver.n_steps, solver.method)
     with np.errstate(over="ignore"):

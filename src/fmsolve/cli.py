@@ -18,10 +18,10 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from . import analysis, cfm, svg
-from .cfm import SolverSpec, TrainConfig, TrainingError
+from .cfm import TrainConfig, TrainingError
 from .data import DatasetSpec
 from .numeric import Rng, check_keys, check_version, write_csv
-from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, StepControlConfig, stability_region_grid
+from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, SolverSpec, stability_region_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -433,8 +433,8 @@ def build_parser():
 
     p = sub.add_parser("dopri-trace", help="adaptive step-size trace of one sampling run")
     p.add_argument("--model", required=True)
-    p.add_argument("--atol", type=float, default=StepControlConfig.atol)
-    p.add_argument("--rtol", type=float, default=StepControlConfig.rtol)
+    p.add_argument("--atol", type=float, default=SolverSpec.atol)
+    p.add_argument("--rtol", type=float, default=SolverSpec.rtol)
     p.add_argument("--n", type=count, default=2000)
     p.add_argument("--bins", type=count, default=10)
     p.add_argument("--seed", type=int, default=0)

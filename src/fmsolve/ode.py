@@ -27,9 +27,9 @@ __all__ = [
     "DOPRI5",
     "TABLEAUS",
     "FIXED_STEP_METHODS",
+    "SolverSpec",
     "StepRecord",
     "SolveTrace",
-    "StepControlConfig",
     "rk_step",
     "integrate_fixed",
     "error_norm",
@@ -168,6 +168,59 @@ TABLEAUS = {"euler": EULER, "midpoint": MIDPOINT, "rk4": RK4, "dopri5": DOPRI5}
 FIXED_STEP_METHODS = tuple(name for name, tab in TABLEAUS.items() if tab.b_star is None)
 
 
+@dataclass(frozen=True)
+class SolverSpec:
+    """One solver run: fixed-step methods take n_steps, adaptive ones (a
+    tableau with an embedded pair) take tolerances and an optional starting
+    step h_init, which :meth:`to_dict` leaves out of files."""
+
+    method: str
+    n_steps: int | None = None
+    atol: float = 1e-5
+    rtol: float = 1e-5
+    h_init: float | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.method not in TABLEAUS:
+            raise ValueError(f"unknown solver {self.method!r}")
+        if not self.adaptive:
+            if self.n_steps is None or self.n_steps < 1:
+                raise ValueError(f"{self.method} needs n_steps >= 1")
+        elif not (self.atol > 0 and self.rtol > 0):
+            raise ValueError("tolerances must be positive")
+        # round-off alone fails an error test this tight (solve_ivp floors rtol there)
+        elif max(self.atol, self.rtol) < 100 * np.finfo(float).eps:
+            raise ValueError(f"atol={self.atol:g} and rtol={self.rtol:g} are both below 100*eps")
+        # a zero step is "accepted" without advancing until MAX_STEPS runs out
+        elif self.h_init is not None and self.h_init <= 0:
+            raise ValueError(f"h_init must be positive, got {self.h_init}")
+
+    @property
+    def adaptive(self):
+        return TABLEAUS[self.method].b_star is not None
+
+    @property
+    def steps_label(self):
+        return "adaptive" if self.adaptive else str(self.n_steps)
+
+    def to_dict(self):
+        if self.adaptive:
+            return {"method": self.method, "atol": self.atol, "rtol": self.rtol}
+        return {"method": self.method, "steps": self.n_steps}
+
+    @classmethod
+    def from_dict(cls, d):
+        """Inverse of :meth:`to_dict`.  Keys it would not write (steps for
+        dopri5, atol/rtol for fixed-step methods, h_init) are rejected."""
+        rest = dict(d)
+        spec = cls(n_steps=rest.pop("steps", None), **rest)
+        inapplicable = sorted(set(d) - set(spec.to_dict()))
+        if inapplicable:
+            raise ValueError(f"{spec.method} does not take {inapplicable}")
+        return spec
+
+
 # ---------------------------------------------------------------------------
 # the stage loop
 
@@ -279,26 +332,6 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4)
 
-@dataclass
-class StepControlConfig:
-    """Tolerances and optional starting step of the adaptive integrator."""
-
-    atol: float = 1e-5
-    rtol: float = 1e-5
-    h_init: float | None = None
-
-    def __post_init__(self):
-        check_field_types(self)
-        if not (self.atol > 0 and self.rtol > 0):
-            raise ValueError("tolerances must be positive")
-        # round-off alone fails an error test this tight (solve_ivp floors rtol there)
-        if max(self.atol, self.rtol) < 100 * np.finfo(float).eps:
-            raise ValueError(f"atol={self.atol:g} and rtol={self.rtol:g} are both below 100*eps")
-        # a zero step is "accepted" without advancing until MAX_STEPS runs out
-        if self.h_init is not None and self.h_init <= 0:
-            raise ValueError(f"h_init must be positive, got {self.h_init}")
-
-
 # Step-size controller: the next step is
 # h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err^(-ORDER_EXPONENT))), with err
 # the scaled error norm of the attempt; the standard values of Hairer, Norsett
@@ -351,7 +384,7 @@ def propose_step(h, err):
 
 
 def initial_step_guess(f, t0, y0, t1, cfg, f0):
-    """Initial step size for the adaptive run.
+    """Initial step size for the adaptive run of the :class:`SolverSpec` cfg.
 
     Returns cfg.h_init when set.  Otherwise, with f0 = f(t0, y0) (the
     caller's first stage, already checked finite), d0 = ||y0|| and
@@ -382,7 +415,8 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
 
 
 def integrate_dopri5(f, y0, t0, t1, cfg):
-    """Adaptive Dormand-Prince 5(4) integration of y' = f(t, y).
+    """Adaptive Dormand-Prince 5(4) integration of y' = f(t, y) as the
+    adaptive :class:`SolverSpec` cfg describes (ValueError for another).
 
     The embedded 4th-order weights give a free local error estimate; a step
     is accepted when its scaled error norm is <= 1, and the controller of
@@ -411,6 +445,8 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    if not cfg.adaptive:
+        raise ValueError(f"integrate_dopri5 needs an adaptive SolverSpec, got {cfg.method!r}")
     db = DOPRI5.b - DOPRI5.b_star
 
     y = np.array(y0, dtype=float)

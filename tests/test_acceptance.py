@@ -18,7 +18,7 @@ from fmsolve.data import DatasetSpec, generate
 from fmsolve.numeric import Rng
 from fmsolve.ode import (
     DOPRI5,
-    StepControlConfig,
+    SolverSpec,
     VectorField,
     integrate_dopri5,
     integrate_fixed,
@@ -129,7 +129,7 @@ def test_criterion_05_stability_region_boundaries(report):
 
 def test_criterion_06_dopri5_correctness(report):
     f = VectorField(lambda t, y: -y)
-    cfg = StepControlConfig(atol=1e-5, rtol=1e-5)
+    cfg = SolverSpec("dopri5", atol=1e-5, rtol=1e-5)
     y, trace = integrate_dopri5(f, np.array([1.0]), 0.0, 1.0, cfg)
     err_final = abs(y[0] - np.exp(-1.0))
     accepted = trace.accepted_steps

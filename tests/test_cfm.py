@@ -93,6 +93,15 @@ class TestTrain:
                 mlp=nn.MlpConfig(data_dim=2, hidden=4, n_blocks=1, time_embed_dim=2),
             )
 
+    def test_optimizer_step_ceiling(self):
+        # 10**30 epochs trained until the process was killed
+        with pytest.raises(ValueError, match=r"train\.epochs=.* ceiling of 10000000$"):
+            cfm.TrainConfig.default(DatasetSpec("moons"), epochs=10**30)
+        at = cfm.MAX_TRAIN_STEPS // 8  # ceil(2000 / 256) = 8 steps an epoch
+        assert cfm.TrainConfig.default(DatasetSpec("moons"), epochs=at).epochs == at
+        with pytest.raises(ValueError, match="train.epochs"):
+            cfm.TrainConfig.default(DatasetSpec("moons"), epochs=at + 1)
+
     def test_deterministic_loss_curves(self):
         a = cfm.train(tiny_config(seed=7))
         b = cfm.train(tiny_config(seed=7))
@@ -189,6 +198,13 @@ class TestSample:
         d_base = analysis.swd(fresh_b, fresh_a, 200, Rng(50))
         assert d_model < 1.5 * d_base
 
+    def test_adaptive_spec_reaches_the_integrator(self):
+        # h_init set: no starting-step trial, so NFE = 1 + 6 * attempts
+        model = cfm.train(tiny_config(seed=5, epochs=1))
+        _, trace = cfm.sample(model, cfm.SolverSpec("dopri5", h_init=0.25), 16, Rng(0))
+        assert trace.steps[0].h == 0.25
+        assert trace.nfe_total == 1 + 6 * len(trace.steps)
+
     def test_bad_args(self):
         model = cfm.train(tiny_config(seed=5, epochs=1))
         with pytest.raises(ValueError):
@@ -220,13 +236,20 @@ class TestSample:
             cfm.SolverSpec.from_dict({"method": "dopri5", **tols})
 
     def test_adaptive_follows_the_tableau(self):
-        from fmsolve.ode import TABLEAUS, StepControlConfig
+        from fmsolve.ode import TABLEAUS
 
         for method, tab in TABLEAUS.items():
             spec = cfm.SolverSpec(method, 10)
             assert spec.adaptive == (tab.b_star is not None)
         spec = cfm.SolverSpec("dopri5")
-        assert (spec.atol, spec.rtol) == (StepControlConfig.atol, StepControlConfig.rtol)
+        assert (spec.atol, spec.rtol) == (1e-5, 1e-5)
+
+    def test_one_solver_description(self):
+        import fmsolve
+        from fmsolve import ode
+
+        assert cfm.SolverSpec is ode.SolverSpec is fmsolve.SolverSpec
+        assert not hasattr(fmsolve, "StepControlConfig")
 
 
 class TestPersistence:

@@ -456,6 +456,8 @@ MALFORMED_INPUT = {
         ws, lambda d: d["train"].update(epochs=1.5)),
     "fractional-batch-size": lambda ws, model: _train_argv(
         ws, lambda d: d["train"].update(batch_size=2.5)),
+    "epochs-past-the-step-ceiling": lambda ws, model: _train_argv(
+        ws, lambda d: d["train"].update(epochs=10**30)),
     "steps-for-dopri5": lambda ws, model: _benchmark_argv(
         ws, model, {"method": "dopri5", "steps": 10}),
     "atol-for-euler": lambda ws, model: _benchmark_argv(
@@ -593,8 +595,10 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "entry",
-        [5, "rk4", {"method": "rk4"}, {"method": "euler", "steps": 1.5}, {"steps": 4}],
-        ids=["number", "string", "missing-steps", "fractional-steps", "missing-method"],
+        [5, "rk4", {"method": "rk4"}, {"method": "euler", "steps": 1.5}, {"steps": 4},
+         {"method": "dopri5", "h_init": 0.1}],
+        ids=["number", "string", "missing-steps", "fractional-steps", "missing-method",
+             "h-init"],
     )
     def test_solver_grid_errors_name_the_entry(self, entry, workspace):
         grid = [{"method": "rk4", "steps": 4}, entry]

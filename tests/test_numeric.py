@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fmsolve.cfm import SolverSpec, TrainConfig
+from fmsolve.cfm import TrainConfig
 from fmsolve.data import DatasetSpec
 from fmsolve.nn import MlpConfig
 from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample, write_csv
-from fmsolve.ode import StepControlConfig
+from fmsolve.ode import SolverSpec
 
 
 class TestRng:
@@ -126,7 +126,7 @@ class TestFieldTypes:
             lambda: DatasetSpec("moons", noise=False),
             lambda: DatasetSpec(7),
             lambda: MlpConfig(hidden=None),
-            lambda: StepControlConfig(atol="1e-5"),
+            lambda: SolverSpec("dopri5", atol="1e-5"),
         ],
         ids=["fractional-steps", "bool-count", "fractional-hidden", "bool-number",
              "int-for-str", "none-for-int", "str-for-float"],
@@ -140,8 +140,8 @@ class TestFieldTypes:
         [
             lambda: DatasetSpec("moons", noise=float("nan")),
             lambda: TrainConfig.default(DatasetSpec("moons"), seed=0, lr=float("inf")),
-            lambda: StepControlConfig(atol=-float("inf")),
-            lambda: StepControlConfig(h_init=float("nan")),
+            lambda: SolverSpec("dopri5", atol=-float("inf")),
+            lambda: SolverSpec("dopri5", h_init=float("nan")),
             lambda: SolverSpec("dopri5", rtol=np.float32("nan")),
             lambda: TrainConfig.default(DatasetSpec("moons"), seed=0, lr=10**400),
         ],
@@ -156,7 +156,7 @@ class TestFieldTypes:
         assert DatasetSpec("moons", n=np.int64(64), noise=np.float32(0.5)).n == 64
         assert SolverSpec("dopri5", atol=1, rtol=np.float64(1e-4)).n_steps is None
         assert MlpConfig(hidden=np.int32(5)).hidden == 5
-        assert StepControlConfig(h_init=None).h_init is None
+        assert SolverSpec("dopri5", h_init=None).h_init is None
 
 
 class TestWriteCsv:

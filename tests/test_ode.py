@@ -15,7 +15,7 @@ from fmsolve.ode import (
     SAFETY,
     TABLEAUS,
     IntegrationError,
-    StepControlConfig,
+    SolverSpec,
     VectorField,
     error_norm,
     initial_step_guess,
@@ -265,20 +265,20 @@ class TestProposeStep:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            StepControlConfig(atol=0.0)
+            SolverSpec("dopri5", atol=0.0)
         with pytest.raises(ValueError):
-            StepControlConfig(rtol=-1e-5)
+            SolverSpec("dopri5", rtol=-1e-5)
 
     @pytest.mark.parametrize("atol, rtol", [(1e-300, 1e-300), (1e-20, 1e-20), (1e-14, 2e-14)])
     def test_config_rejects_tolerances_below_round_off(self, atol, rtol):
         # at 1e-300 the norms overflowed into a NaN first step; at 1e-20 the
         # run spent all 100,000 attempts (600,002 NFE) before failing
         with pytest.raises(ValueError, match="100\\*eps"):
-            StepControlConfig(atol=atol, rtol=rtol)
+            SolverSpec("dopri5", atol=atol, rtol=rtol)
 
     @pytest.mark.parametrize("atol, rtol", [(1e-8, 1e-15), (1e-15, 1e-8), (1e-300, 1e-3)])
     def test_config_takes_one_tolerance_below_round_off(self, atol, rtol):
-        cfg = StepControlConfig(atol=atol, rtol=rtol)
+        cfg = SolverSpec("dopri5", atol=atol, rtol=rtol)
         assert (cfg.atol, cfg.rtol) == (atol, rtol)
 
     @pytest.mark.parametrize("bad", [{"h_init": 0.0}, {"h_init": -0.1}])
@@ -287,21 +287,22 @@ class TestProposeStep:
         # attempt budget ran out; a negative one ended in a misleading step
         # size underflow
         with pytest.raises(ValueError):
-            StepControlConfig(**bad)
+            SolverSpec("dopri5", **bad)
 
     def test_config_fields(self):
-        assert [f.name for f in fields(StepControlConfig)] == ["atol", "rtol", "h_init"]
+        assert [f.name for f in fields(SolverSpec)] == [
+            "method", "n_steps", "atol", "rtol", "h_init"]
 
 
 class TestInitialStepGuess:
-    CFG = StepControlConfig(atol=1e-5, rtol=1e-5)
+    CFG = SolverSpec("dopri5", atol=1e-5, rtol=1e-5)
 
     def test_explicit_override(self):
-        cfg = StepControlConfig(h_init=0.01)
+        cfg = SolverSpec("dopri5", h_init=0.01)
         assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg, -ONE) == 0.01
 
     def test_explicit_override_clips_to_interval(self):
-        cfg = StepControlConfig(h_init=5.0)
+        cfg = SolverSpec("dopri5", h_init=5.0)
         assert initial_step_guess(decay_field(), 0.0, ONE, 1.0, cfg, -ONE) == 1.0
 
     def test_zero_field_clips_to_interval(self):
@@ -322,7 +323,12 @@ class TestInitialStepGuess:
 
 
 class TestDopri5:
-    CFG = StepControlConfig(atol=1e-5, rtol=1e-5)
+    CFG = SolverSpec("dopri5", atol=1e-5, rtol=1e-5)
+
+    def test_fixed_step_spec_rejected(self):
+        # dopri5 at the default tolerances must not stand in for the rk4 run asked for
+        with pytest.raises(ValueError, match="adaptive SolverSpec, got 'rk4'"):
+            integrate_dopri5(decay_field(), ONE, 0.0, 1.0, SolverSpec("rk4", 10))
 
     def test_decay_accuracy(self):
         f = decay_field()
@@ -356,7 +362,7 @@ class TestDopri5:
 
     def test_fsal_nfe_with_explicit_h_init(self):
         f = decay_field()
-        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, StepControlConfig(h_init=0.1))
+        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, SolverSpec("dopri5", h_init=0.1))
         assert trace.nfe_total == 1 + 6 * len(trace.steps)
 
     def test_constant_field_single_accepted_step(self):
@@ -373,7 +379,7 @@ class TestDopri5:
             return -y * (1.0 + 1000.0 * (t > 0.5))
 
         f = VectorField(kinky)
-        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, StepControlConfig(atol=1e-8, rtol=1e-8))
+        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, SolverSpec("dopri5", atol=1e-8, rtol=1e-8))
         rejected = [i for i, s in enumerate(trace.steps) if not s.accepted]
         assert rejected, "expected at least one rejection"
         for i in rejected:
@@ -384,7 +390,7 @@ class TestDopri5:
         # the first step accepted after a rejection is followed by an attempt
         # no larger than itself; later accepted steps may grow again
         f = VectorField(lambda t, y: -y * (1.0 + 1000.0 * (t > 0.5)))
-        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, StepControlConfig(atol=1e-8, rtol=1e-8))
+        _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, SolverSpec("dopri5", atol=1e-8, rtol=1e-8))
         steps = trace.steps
         recovered = [i for i in range(1, len(steps) - 1)
                      if steps[i].accepted and not steps[i - 1].accepted]
@@ -398,7 +404,7 @@ class TestDopri5:
     def test_max_steps_exhaustion(self, monkeypatch):
         monkeypatch.setattr(ode, "MAX_STEPS", 10)
         f = decay_field(-1e6)
-        cfg = StepControlConfig(atol=1e-12, rtol=1e-12)
+        cfg = SolverSpec("dopri5", atol=1e-12, rtol=1e-12)
         with pytest.raises(IntegrationError, match="max_steps=10 exhausted at t=") as exc_info:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t is not None and exc_info.value.h is not None
@@ -435,7 +441,7 @@ class TestDopri5:
         # the interval, and the starting-step heuristic needs no trial
         f = decay_field()
         y, trace = integrate_dopri5(f, np.array([2.0, -3.0]), 0.0, 1.0,
-                                    StepControlConfig(atol=1e308, rtol=1e308))
+                                    SolverSpec("dopri5", atol=1e308, rtol=1e308))
         assert [(s.h, s.accepted) for s in trace.steps] == [(1.0, True)]
         assert trace.nfe_total == 7
         assert y == pytest.approx(np.array([2.0, -3.0]) * np.exp(-1.0), rel=1e-2)
@@ -455,7 +461,7 @@ class TestDopri5:
         # overflows, so each attempt is rejected with the largest shrink
         monkeypatch.setattr(ode, "MAX_STEPS", 10)
         f = VectorField(lambda t, y: np.full_like(y, 1e200 * t**5))
-        cfg = StepControlConfig(atol=1e-8, rtol=1e-300, h_init=0.5)
+        cfg = SolverSpec("dopri5", atol=1e-8, rtol=1e-300, h_init=0.5)
         with pytest.raises(IntegrationError, match="max_steps") as exc_info:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t == 0.0
@@ -467,7 +473,7 @@ class TestDopri5:
         # heuristic at 0, so no step is tried; its trial step divided by 0
         f = VectorField(lambda t, y: np.full_like(y, 1e200))
         with pytest.raises(IntegrationError, match="underflow"):
-            integrate_dopri5(f, ONE, 0.0, 1.0, StepControlConfig(atol=1e-8, rtol=1e-300))
+            integrate_dopri5(f, ONE, 0.0, 1.0, SolverSpec("dopri5", atol=1e-8, rtol=1e-300))
         assert f.nfe == 1
 
     def test_non_finite_stage_raises(self):
@@ -482,7 +488,7 @@ class TestDopri5:
         big = np.array([1.5e308])
         f = VectorField(lambda t, y: np.full_like(y, 1.5e308))
         with pytest.raises(IntegrationError, match=r"^state became non-finite at step 0 \(t=0\.0\)"):
-            integrate_dopri5(f, big, 0.0, 1.0, StepControlConfig(h_init=0.5))
+            integrate_dopri5(f, big, 0.0, 1.0, SolverSpec("dopri5", h_init=0.5))
         with pytest.raises(IntegrationError, match=r"^state became non-finite at step 0 \(t=0\.0\)"):
             integrate_fixed(f, big, 0.0, 1.0, 2, "euler")
 
@@ -498,7 +504,7 @@ class TestDopri5:
         fa = VectorField(base)
         fb = VectorField(lambda t, y: base(t, y - c))
         y0 = np.array([0.3, 1.1])
-        cfg = StepControlConfig(atol=1e-8, rtol=1e-15, h_init=0.05)
+        cfg = SolverSpec("dopri5", atol=1e-8, rtol=1e-15, h_init=0.05)
         ya, tra = integrate_dopri5(fa, y0, 0.0, 1.0, cfg)
         yb, trb = integrate_dopri5(fb, y0 + c, 0.0, 1.0, cfg)
         assert len(tra.steps) == len(trb.steps)
@@ -510,7 +516,7 @@ class TestTraceCsv:
 
     def test_adaptive_trace_bytes(self, tmp_path):
         # an integer t0 still writes its first start time as a float
-        cfg = StepControlConfig(atol=1e-3, rtol=1e-3, h_init=0.5)
+        cfg = SolverSpec("dopri5", atol=1e-3, rtol=1e-3, h_init=0.5)
         _, trace = integrate_dopri5(decay_field(), ONE, 0, 1, cfg)
         trace.write_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == self.HEADER + (
