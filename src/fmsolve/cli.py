@@ -6,7 +6,7 @@ figures are the minimal SVGs of :mod:`fmsolve.svg`.  Every subcommand is
 deterministic given its config and seed; the FMSOLVE_SEED environment
 variable overrides the seed everywhere.
 
-Exit codes: 0 success, 2 usage or config error, 3 numeric failure.
+Exit codes: 0 success, 2 usage, config or out-of-memory error, 3 numeric failure.
 """
 
 import argparse
@@ -292,12 +292,11 @@ def cmd_jacobian(args):
     model = cfm.load_model(args.model)
     if model.data_dim != 2:
         raise ConfigError(f"jacobian analysis needs a 2D model, got data_dim={model.data_dim}")
+    spec = SolverSpec("rk4", args.steps)
     seed = _resolve_seed(args.seed)
     out = _ensure_dir(args.out)
     grid = list(np.linspace(0.0, 1.0, args.time_points))
-    rows = analysis.spectrum_along_trajectory(
-        model, args.n_samples, grid, SolverSpec("rk4", args.steps), Rng(seed)
-    )
+    rows = analysis.spectrum_along_trajectory(model, args.n_samples, grid, spec, Rng(seed))
     write_csv(os.path.join(out, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
     ts = [r.t for r in rows]
     series = []
@@ -326,8 +325,9 @@ def cmd_dopri_trace(args):
     seed = _resolve_seed(args.seed)
     out = _ensure_dir(args.out)
     _, trace = cfm.sample(model, spec, args.n, Rng(seed))
-    trace.write_csv(os.path.join(out, "dopri_trace.csv"))
+    # the summary comes first, so a --bins too large for memory writes no file
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
+    trace.write_csv(os.path.join(out, "dopri_trace.csv"))
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
     if args.atol == args.rtol:
         tolerances = f"atol=rtol={args.atol:g}"
@@ -457,6 +457,11 @@ def main(argv=None):
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # last rung: an input whose arrays cannot be allocated
+        print(f"error: input too large for memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -167,6 +167,10 @@ TABLEAUS = {"euler": EULER, "midpoint": MIDPOINT, "rk4": RK4, "dopri5": DOPRI5}
 #: methods without an embedded pair, run by :func:`integrate_fixed`
 FIXED_STEP_METHODS = tuple(name for name, tab in TABLEAUS.items() if tab.b_star is None)
 
+#: step budget of one run: the most steps a fixed-step :class:`SolverSpec`
+#: takes, and the attempts, accepted or rejected, of an adaptive run
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SolverSpec:
@@ -187,6 +191,9 @@ class SolverSpec:
         if not self.adaptive:
             if self.n_steps is None or self.n_steps < 1:
                 raise ValueError(f"{self.method} needs n_steps >= 1")
+            if self.n_steps > MAX_STEPS:
+                raise ValueError(f"{self.method} takes at most MAX_STEPS={MAX_STEPS} steps, "
+                                 f"got {self.n_steps}")
         elif not (self.atol > 0 and self.rtol > 0):
             raise ValueError("tolerances must be positive")
         # round-off alone fails an error test this tight (solve_ivp floors rtol there)
@@ -341,9 +348,6 @@ SAFETY = 0.9
 ALPHA_MIN = 0.2
 ALPHA_MAX = 5.0
 ORDER_EXPONENT = 1.0 / 6.0
-
-#: attempts, accepted or rejected, of one adaptive run before it gives up
-MAX_STEPS = 100_000
 
 # Stiffness test of dopri5 (Hairer & Wanner, Solving ODEs II, IV.2): stages 6
 # and 7 both sit at t + h, so h*|lambda| ~ h * ||k7 - k6|| / ||y5 - y6||, with
@@ -555,22 +559,18 @@ def stability_region_grid(method, re_range, im_range, resolution):
 
     ``re_range`` and ``im_range`` are (min, max) pairs with min < max and
     a finite span max - min; ``resolution`` is the number of grid points
-    per axis (a single int or a (re, im) pair), at least 2 per axis.  Where
-    R(z) passes the float range, |R| is inf: outside the region.
+    per axis, at least 2.  Where R(z) passes the float range, |R| is inf:
+    outside the region.
     """
-    if np.isscalar(resolution):
-        n_re = n_im = int(resolution)
-    else:
-        n_re, n_im = (int(r) for r in resolution)
-    if n_re < 2 or n_im < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     for name, (lo, hi) in (("re_range", re_range), ("im_range", im_range)):
         # float(): a numpy scalar's overflowing difference would warn
         if not (lo < hi and np.isfinite(float(hi) - float(lo))):
             raise ValueError(f"{name} must be finite with min < max and a finite span, "
                              f"got ({lo}, {hi})")
-    re = np.linspace(re_range[0], re_range[1], n_re)
-    im = np.linspace(im_range[0], im_range[1], n_im)
+    re = np.linspace(re_range[0], re_range[1], resolution)
+    im = np.linspace(im_range[0], im_range[1], resolution)
     z = re[None, :] + 1j * im[:, None]
     with np.errstate(over="ignore"):
         mag = np.abs(stability_value(method, z))

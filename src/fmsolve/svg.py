@@ -33,11 +33,11 @@ def _labels(values):
     return labels
 
 
-def _ticks_linear(lo, hi, target=5):
+def _ticks_linear(lo, hi):
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:

@@ -273,7 +273,7 @@ class TestBenchmarkCmd:
     def test_failed_spec_warns_and_keeps_the_rest(self, trained, monkeypatch, capsys):
         workspace, model = trained
         monkeypatch.setattr(ode, "MAX_STEPS", 1)  # dopri5 needs more attempts on this model
-        grid = [{"method": "euler", "steps": 5}, {"method": "dopri5"}]
+        grid = [{"method": "euler", "steps": 1}, {"method": "dopri5"}]
         cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=grid))
         out = workspace / "bench"
         capsys.readouterr()
@@ -460,6 +460,12 @@ MALFORMED_INPUT = {
         ws, lambda d: d["train"].update(epochs=10**30)),
     "steps-for-dopri5": lambda ws, model: _benchmark_argv(
         ws, model, {"method": "dopri5", "steps": 10}),
+    "h-init-for-dopri5": lambda ws, model: _benchmark_argv(
+        ws, model, {"method": "dopri5", "h_init": 0.1}),
+    "steps-past-the-step-budget": lambda ws, model: ["sample", "--model", str(model),
+        "--solver", "euler", "--steps", str(10**12), "--n", "8", "--out", str(ws / "out")],
+    "jacobian-steps-past-the-step-budget": lambda ws, model: ["jacobian", "--model", str(model),
+        "--steps", str(10**12), "--out", str(ws / "out")],
     "atol-for-euler": lambda ws, model: _benchmark_argv(
         ws, model, {"method": "euler", "steps": 10, "atol": 1e-4}),
     "steps-flag-for-dopri5": lambda ws, model: ["sample", "--model", str(model),
@@ -519,6 +525,8 @@ MALFORMED_INPUT = {
         ws, lambda d: d["train"].update(lr=float("inf"))),
     "model-param-nan": lambda ws, model: _model_argv(
         ws, model, lambda d: d["params"]["block0.w1"][0].__setitem__(0, float("nan"))),
+    "model-tensor-missing-a-row": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["params"]["block0.w1"].pop()),
     "model-blocks-beyond-the-file": lambda ws, model: _model_argv(
         ws, model, lambda d: d["config"]["mlp"].update(n_blocks=10**5)),
     "model-param-beyond-the-float-range": lambda ws, model: _model_argv(
@@ -573,7 +581,7 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert len(captured.err.strip().splitlines()) == 1
         assert not captured.out  # no "training ..." or "trained ..." line
-        if argv[0] in ("sample", "benchmark"):
+        if argv[0] in ("sample", "benchmark", "jacobian"):
             # a bad model, flag or solver grid fails before the output
             # directory is made, so no sampling work is done and nothing written
             assert not (workspace / "out").exists()
@@ -712,14 +720,16 @@ class TestSvgOutput:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mean", [1e308, 1e16], ids=["mean-1e308", "mean-1e16"])
-    def test_samples_at_a_large_offset_render(self, mean, trained):
+    def test_samples_at_a_large_offset_render(self, mean, trained, capsys):
         # the samples round to the offset or to its float neighbours: half a
         # unit did not widen the axes at 1e308 (ZeroDivisionError), and the
         # tick step at 1e16 was below the float spacing, so ticks never ended
         workspace, model = trained
         argv = _model_argv(workspace, model,
                            lambda d: d["training_meta"].update(data_mean=[mean, mean]))
+        capsys.readouterr()
         assert cli.main([*argv, "--n", "8"]) == 0
+        assert not capsys.readouterr().err
         ET.parse(workspace / "out" / "samples.svg")
 
     @pytest.mark.filterwarnings("error")
@@ -732,6 +742,53 @@ class TestSvgOutput:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "overflow" in err
         assert not (workspace / "out" / "samples.csv").exists()
+
+
+# 10**17 float64 entries are 711 PiB, past the address space of any 64-bit
+# machine: the allocation request fails, whatever the kernel's overcommit
+# policy, before any memory is touched
+TOO_LARGE = 10**17
+
+
+def _one_step_on_too_many_points(config):
+    # one optimizer step, so the training-step ceiling lets it through
+    config["dataset"]["n"] = config["train"]["batch_size"] = TOO_LARGE
+    config["train"]["epochs"] = 1
+
+
+TOO_LARGE_FOR_MEMORY = {
+    "sample-n": lambda ws, model: ["sample", "--model", str(model), "--solver", "rk4",
+                                   "--steps", "2", "--n", str(TOO_LARGE)],
+    "benchmark-n": lambda ws, model: ["benchmark", "--model", str(model), "--n", str(TOO_LARGE),
+                                      "--projections", "4"],
+    "benchmark-projections": lambda ws, model: ["benchmark", "--model", str(model), "--n", "8",
+                                                "--projections", str(TOO_LARGE)],
+    "jacobian-time-points": lambda ws, model: ["jacobian", "--model", str(model),
+                                               "--n-samples", "4", "--time-points", str(TOO_LARGE)],
+    "dopri-trace-bins": lambda ws, model: ["dopri-trace", "--model", str(model), "--n", "8",
+                                           "--bins", str(TOO_LARGE)],
+    "convergence-dim": lambda ws, model: ["convergence", "--dim", str(TOO_LARGE)],
+    "stability-resolution": lambda ws, model: ["stability", "--resolution", str(TOO_LARGE)],
+    "train-dataset-n": lambda ws, model: [
+        "train", "--config", _edited(TINY_CONFIG, ws / "big.json", _one_step_on_too_many_points)],
+}
+
+
+class TestInputsTooLargeForMemory:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", TOO_LARGE_FOR_MEMORY)
+    def test_exit_2_with_one_line_message(self, case, trained, capsys):
+        # each exited 1 with numpy's _ArrayMemoryError traceback
+        workspace, model = trained
+        argv = TOO_LARGE_FOR_MEMORY[case](workspace, model)
+        out = workspace / "out"
+        argv += ["--out", str(out / "m.json" if argv[0] == "train" else out)]
+        before = set(workspace.rglob("*"))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: input too large for memory: ")
+        assert not [p for p in set(workspace.rglob("*")) - before if p.is_file()]
 
 
 FAR_PARAMETER_COMMANDS = {
@@ -817,7 +874,26 @@ class TestEditedModelFilesThroughTheCli:
         assert not failures, failures[:3]
 
 
+def _reversed_keys(node):
+    if not isinstance(node, dict):
+        return node
+    return {k: _reversed_keys(node[k]) for k in reversed(list(node))}
+
+
 class TestDeterminism:
+    def test_reindented_model_file_samples_the_same_bytes(self, trained):
+        # the model file's layout is not part of the model: other key order
+        # and indentation load the same parameters
+        workspace, model = trained
+        reindented = workspace / "reindented.json"
+        reindented.write_text(json.dumps(_reversed_keys(json.loads(model.read_text())), indent=1))
+        samples = []
+        for path, name in ((model, "compact"), (reindented, "reindented")):
+            assert cli.main(["sample", "--model", str(path), "--solver", "rk4", "--steps", "5",
+                             "--n", "64", "--out", str(workspace / name)]) == 0
+            samples.append((workspace / name / "samples.csv").read_bytes())
+        assert samples[0] == samples[1]
+
     def test_sample_csvs_byte_identical(self, trained):
         workspace, model = trained
         outs = []

@@ -10,6 +10,7 @@ from fmsolve.ode import (
     ALPHA_MIN,
     DOPRI5,
     EULER,
+    FIXED_STEP_METHODS,
     MIDPOINT,
     RK4,
     SAFETY,
@@ -289,6 +290,16 @@ class TestProposeStep:
         with pytest.raises(ValueError):
             SolverSpec("dopri5", **bad)
 
+    @pytest.mark.parametrize("method", FIXED_STEP_METHODS)
+    def test_fixed_step_count_within_the_step_budget(self, method):
+        # --steps 10**12 ran until it was killed; dopri5's attempt budget
+        # bounds fixed-step runs too
+        assert SolverSpec(method, ode.MAX_STEPS).n_steps == 100_000
+        with pytest.raises(ValueError, match=f"^{method} takes at most MAX_STEPS=100000 steps"):
+            SolverSpec(method, ode.MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            SolverSpec.from_dict({"method": method, "steps": 10**12})
+
     def test_config_fields(self):
         assert [f.name for f in fields(SolverSpec)] == [
             "method", "n_steps", "atol", "rtol", "h_init"]
@@ -548,7 +559,7 @@ class TestStability:
 
     @pytest.mark.parametrize("method", sorted(TABLEAUS))
     def test_array_matches_scalar_calls_and_grid(self, method):
-        r = stability_region_grid(method, (-3, 1), (-2, 2), (9, 7))
+        r = stability_region_grid(method, (-3, 1), (-2, 2), 9)
         z = r.re[None, :] + 1j * r.im[:, None]
         values = stability_value(method, z)
         assert values.shape == z.shape
@@ -599,12 +610,13 @@ class TestStability:
         assert r.inside[2, 2]  # z = 0
 
     def test_raster_csv_exact_bytes(self, tmp_path):
-        r = stability_region_grid("euler", (-2, 0), (-1, 1), (3, 2))
+        r = stability_region_grid("euler", (-2, 0), (-1, 1), 3)
         path = tmp_path / "grid.csv"
         r.write_csv(path)
         assert path.read_bytes() == (
             b"im\\re,-2.0,-1.0,0.0\r\n"
             b"-1.0,1.4142135623730951,1.0,1.4142135623730951\r\n"
+            b"0.0,1.0,0.0,1.0\r\n"
             b"1.0,1.4142135623730951,1.0,1.4142135623730951\r\n"
         )
 
