@@ -6,6 +6,11 @@ figures are the minimal SVGs of :mod:`fmsolve.svg`.  Every subcommand is
 deterministic given its config and seed; the FMSOLVE_SEED environment
 variable overrides the seed everywhere.
 
+Every subcommand but ``train`` writes into the directory ``--out``, made at
+the first write once the command has computed what it writes, so a failed
+run leaves no ``--out``; one that is or lies under a file exits 2 first.
+``train --out`` is the model file; its directory is made before training.
+
 Exit codes: 0 success, 2 usage, config or out-of-memory error, 3 numeric failure.
 """
 
@@ -105,9 +110,19 @@ def _resolve_seed(flag, default=None):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _check_out_dir(path):
+    """Fail, before any work, on an ``--out`` that cannot be made a directory."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not path or not os.path.isdir(head):
+        raise ConfigError(f"--out {path!r} cannot be a directory")
+
+
+def _out(args, name):
+    """Path of file ``name`` in the ``--out`` directory, made at the first write."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _header(record_type, **rename):
@@ -128,7 +143,6 @@ def _method_series(rows, labels, x, y):
 # subcommands
 
 def cmd_convergence(args):
-    out = _ensure_dir(args.out)
     h_list = [2.0**-e for e in range(3, 11)]
     problem = analysis.DecayProblem(dim=args.dim)
     rows, slopes = analysis.convergence_study(problem, FIXED_STEP_METHODS, h_list)
@@ -136,13 +150,13 @@ def cmd_convergence(args):
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
     all_rows = rows + dopri_rows
     write_csv(
-        os.path.join(out, "convergence.csv"),
+        _out(args, "convergence.csv"),
         _header(analysis.ConvergenceRow, global_error="error"),
         map(astuple, all_rows),
     )
     labels = {**{m: m for m in FIXED_STEP_METHODS}, "dopri5": "dopri5 (tol on h axis)"}
     svg.line_chart(
-        os.path.join(out, "convergence.svg"),
+        _out(args, "convergence.svg"),
         _method_series(all_rows, labels, lambda r: r.h, lambda r: max(r.global_error, 1e-17)),
         title=f"Global error at t=1, decay problem ({args.dim}D)",
         xlabel="step size h (tolerance for dopri5)", ylabel="global error",
@@ -155,8 +169,6 @@ def cmd_convergence(args):
 
 
 def cmd_stability(args):
-    # everything is computed before the first file is written, so a bad
-    # range or horizon fails without leaving partial output behind
     rasters = [
         stability_region_grid(m, (args.re_min, args.re_max), (args.im_min, args.im_max),
                               args.resolution)
@@ -164,18 +176,17 @@ def cmd_stability(args):
     ]
     demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
     traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1)
-    out = _ensure_dir(args.out)
     for raster in rasters:
-        raster.write_csv(os.path.join(out, f"stability_{raster.method}.csv"))
+        raster.write_csv(_out(args, f"stability_{raster.method}.csv"))
         svg.raster_chart(
-            os.path.join(out, f"stability_{raster.method}.svg"), raster,
+            _out(args, f"stability_{raster.method}.svg"), raster,
             title=f"{raster.method}: |R(z)| <= 1",
         )
         print(f"{raster.method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
     demo_rows = [(tr.h, n, y) for tr in traces for n, y in enumerate(tr.y.tolist())]
-    write_csv(os.path.join(out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
+    write_csv(_out(args, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
     svg.line_chart(
-        os.path.join(out, "stability_demo.svg"),
+        _out(args, "stability_demo.svg"),
         [{"label": f"h={tr.h:.4g}" + (" (diverged)" if tr.diverged else ""),
           "x": list(range(len(tr.y))), "y": list(tr.y)} for tr in traces],
         title="Euler on y' = -15y", xlabel="step n", ylabel="y_n", markers=False,
@@ -197,7 +208,7 @@ def cmd_train(args):
         raise ConfigError(f"--loss-csv and --out name the same file {args.out}")
     # paths are checked and directories made first, so a bad path costs no training
     for path in (args.out, loss_csv):
-        _ensure_dir(os.path.dirname(os.path.abspath(path)))
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     model = cfm.train(tc)
     cfm.save_model(model, args.out)
     write_csv(loss_csv, ["epoch", "loss"], enumerate(model.loss_curve))
@@ -219,15 +230,13 @@ def _solver_from_args(args):
 def cmd_sample(args):
     model = cfm.load_model(args.model)
     spec = _solver_from_args(args)
-    seed = _resolve_seed(args.seed)
-    out = _ensure_dir(args.out)
-    points, trace = cfm.sample(model, spec, args.n, Rng(seed))
+    points, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     header = [f"x{i}" for i in range(points.shape[1])]
-    write_csv(os.path.join(out, "samples.csv"), header, points.tolist())
-    trace.write_csv(os.path.join(out, "trace.csv"))
+    write_csv(_out(args, "samples.csv"), header, points.tolist())
+    trace.write_csv(_out(args, "trace.csv"))
     if points.shape[1] == 2:
         svg.scatter_chart(
-            os.path.join(out, "samples.svg"), points, label=f"{spec.method}-{spec.steps_label}",
+            _out(args, "samples.svg"), points, label=f"{spec.method}-{spec.steps_label}",
             title=f"samples ({spec.method}, {spec.steps_label} steps)",
             xlabel="x0", ylabel="x1",
         )
@@ -243,11 +252,11 @@ def _benchmark_one(model, grid, args, rng):
     return rows
 
 
-def _write_pareto(out, name, rows):
-    """``<name>.csv`` and ``<name>.svg`` of one benchmark run in ``out``."""
-    write_csv(os.path.join(out, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
+def _write_pareto(args, name, rows):
+    """``<name>.csv`` and ``<name>.svg`` of one benchmark run in ``--out``."""
+    write_csv(_out(args, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
     svg.line_chart(
-        os.path.join(out, f"{name}.svg"),
+        _out(args, f"{name}.svg"),
         _method_series(rows, {m: m for m in TABLEAUS}, lambda r: r.nfe, lambda r: r.swd),
         title="NFE vs SWD", xlabel="NFE", ylabel="SWD", logx=True, logy=True,
     )
@@ -258,31 +267,27 @@ def cmd_benchmark(args):
         raise ConfigError("--model and --hidden exclude each other: --hidden retrains per width")
     tc, grid = load_run_config(args.config) if args.config else (None, None)
     grid = grid or DEFAULT_GRID
-    # everything is checked before the output directory is made
     if args.hidden:
         if tc is None:
             raise ConfigError("--hidden sweep needs --config with dataset/train settings")
         seed = _resolve_seed(args.seed, tc.seed)
-        out = _ensure_dir(args.out)
-        ablation = []
+        sweep = {}
         for w in args.hidden:
-            tc_w = replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w))
             print(f"training hidden={w} ...")
-            model = cfm.train(tc_w)
-            rows = _benchmark_one(model, grid, args, Rng(seed))
-            _write_pareto(out, f"pareto_hidden{w}", rows)
-            ablation += [(w, *astuple(r)) for r in rows]
-        write_csv(os.path.join(out, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)],
-                  ablation)
-        print(f"ablation over widths {args.hidden} -> {os.path.join(out, 'ablation.csv')}")
+            model = cfm.train(replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w)))
+            sweep[w] = _benchmark_one(model, grid, args, Rng(seed))
+        for w, rows in sweep.items():
+            _write_pareto(args, f"pareto_hidden{w}", rows)
+        ablation = [(w, *astuple(r)) for w, rows in sweep.items() for r in rows]
+        write_csv(_out(args, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)], ablation)
+        print(f"ablation over widths {args.hidden} -> {os.path.join(args.out, 'ablation.csv')}")
         return EXIT_OK
     if not args.model:
         raise ConfigError("--model is required (or use --hidden with --config)")
     model = cfm.load_model(args.model)
     seed = _resolve_seed(args.seed, model.config.seed)
-    out = _ensure_dir(args.out)
     rows = _benchmark_one(model, grid, args, Rng(seed))
-    _write_pareto(out, "pareto", rows)
+    _write_pareto(args, "pareto", rows)
     for r in rows:
         print(f"{r.method:<9} steps={r.steps:<9} nfe={r.nfe:<6} swd={r.swd:.5f}")
     return EXIT_OK
@@ -290,14 +295,11 @@ def cmd_benchmark(args):
 
 def cmd_jacobian(args):
     model = cfm.load_model(args.model)
-    if model.data_dim != 2:
-        raise ConfigError(f"jacobian analysis needs a 2D model, got data_dim={model.data_dim}")
     spec = SolverSpec("rk4", args.steps)
-    seed = _resolve_seed(args.seed)
-    out = _ensure_dir(args.out)
+    rng = Rng(_resolve_seed(args.seed))
     grid = list(np.linspace(0.0, 1.0, args.time_points))
-    rows = analysis.spectrum_along_trajectory(model, args.n_samples, grid, spec, Rng(seed))
-    write_csv(os.path.join(out, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
+    rows = analysis.spectrum_along_trajectory(model, args.n_samples, grid, spec, rng)
+    write_csv(_out(args, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
     ts = [r.t for r in rows]
     series = []
     # per eigenvalue: the mean line and the two edges of its +-1 std band
@@ -310,7 +312,7 @@ def cmd_jacobian(args):
             {"label": "", "x": ts, "y": [m - s for m, s in zip(mean, std)], "color": band},
         ]
     svg.line_chart(
-        os.path.join(out, "spectrum.svg"), series,
+        _out(args, "spectrum.svg"), series,
         title="Jacobian eigenvalues along the flow", xlabel="t", ylabel="Re(eig)",
     )
     for r in rows:
@@ -322,19 +324,16 @@ def cmd_jacobian(args):
 def cmd_dopri_trace(args):
     model = cfm.load_model(args.model)
     spec = SolverSpec("dopri5", atol=args.atol, rtol=args.rtol)
-    seed = _resolve_seed(args.seed)
-    out = _ensure_dir(args.out)
-    _, trace = cfm.sample(model, spec, args.n, Rng(seed))
-    # the summary comes first, so a --bins too large for memory writes no file
+    _, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
-    trace.write_csv(os.path.join(out, "dopri_trace.csv"))
+    trace.write_csv(_out(args, "dopri_trace.csv"))
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
     if args.atol == args.rtol:
         tolerances = f"atol=rtol={args.atol:g}"
     else:
         tolerances = f"atol={args.atol:g}, rtol={args.rtol:g}"
     svg.line_chart(
-        os.path.join(out, "dopri_steps.svg"),
+        _out(args, "dopri_steps.svg"),
         [
             {"label": "accepted h", "x": [t for t, _ in summary.accepted],
              "y": [h for _, h in summary.accepted]},
@@ -376,21 +375,26 @@ def build_parser():
         description="Explicit ODE solvers and flow-matching sampling diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out", default="out", help="output directory")
+    model_run = argparse.ArgumentParser(add_help=False)
+    model_run.add_argument("--model", required=True)
+    model_run.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("convergence", help="global error vs step size, fitted orders")
+    p = sub.add_parser("convergence", parents=[out_dir],
+                       help="global error vs step size, fitted orders")
     p.add_argument("--dim", type=count, default=1,
                    help="replicate the decay problem across dimensions")
-    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("stability", help="stability region rasters and the Euler blow-up demo")
+    p = sub.add_parser("stability", parents=[out_dir],
+                       help="stability region rasters and the Euler blow-up demo")
     p.add_argument("--re-min", type=float, default=-5.0)
     p.add_argument("--re-max", type=float, default=2.0)
     p.add_argument("--im-min", type=float, default=-4.0)
     p.add_argument("--im-max", type=float, default=4.0)
     p.add_argument("--resolution", type=int, default=281, help="grid points per axis")
     p.add_argument("--demo-t1", type=float, default=4.0, help="integration horizon of the demo")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("train", help="train a velocity network from a JSON config")
@@ -400,18 +404,16 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", help="sample from a trained model with a chosen solver")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("sample", parents=[model_run, out_dir],
+                       help="sample from a trained model with a chosen solver")
     p.add_argument("--solver", required=True, choices=TABLEAUS)
     p.add_argument("--steps", type=count, default=None, help="step count (fixed-step solvers only)")
     p.add_argument("--atol", type=float, default=None, help="dopri5 only (default 1e-5)")
     p.add_argument("--rtol", type=float, default=None, help="dopri5 only (default 1e-5)")
     p.add_argument("--n", type=count, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("benchmark", help="NFE vs SWD over a solver grid")
+    p = sub.add_parser("benchmark", parents=[out_dir], help="NFE vs SWD over a solver grid")
     p.add_argument("--model", default=None)
     p.add_argument("--config", default=None, help="run config (solver_grid, ablation training)")
     p.add_argument("--hidden", type=widths, default=None,
@@ -419,26 +421,21 @@ def build_parser():
     p.add_argument("--n", type=count, default=2000, help="generated/reference sample count")
     p.add_argument("--projections", type=count, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("jacobian", help="Jacobian eigenvalue spectrum along trajectories")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("jacobian", parents=[model_run, out_dir],
+                       help="Jacobian eigenvalue spectrum along trajectories")
     p.add_argument("--n-samples", type=count, default=200)
     p.add_argument("--time-points", type=count, default=11)
     p.add_argument("--steps", type=count, default=50, help="RK4 marching steps over [0,1]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_jacobian)
 
-    p = sub.add_parser("dopri-trace", help="adaptive step-size trace of one sampling run")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("dopri-trace", parents=[model_run, out_dir],
+                       help="adaptive step-size trace of one sampling run")
     p.add_argument("--atol", type=float, default=SolverSpec.atol)
     p.add_argument("--rtol", type=float, default=SolverSpec.rtol)
     p.add_argument("--n", type=count, default=2000)
     p.add_argument("--bins", type=count, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_dopri_trace)
 
     return parser
@@ -448,6 +445,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "train":  # the one subcommand whose --out is a file
+            _check_out_dir(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

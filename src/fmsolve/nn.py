@@ -125,12 +125,12 @@ class MlpParams:
 
 def _sigmoid(x, out=None, denom=None):
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: exp(-|x|) never overflows,
-    # and the numerator max(e, copysign(1, x)) needs no branch.  Given x-shaped
+    # and the numerator max(e, x >= 0) needs no branch.  Given x-shaped
     # ``out`` and ``denom``, allocates nothing and returns ``out``.
     e = np.abs(x, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    numer = np.maximum(e, np.copysign(1.0, x, out=denom), out=denom)
+    numer = np.maximum(e, np.greater_equal(x, 0.0, out=denom), out=denom)
     e += 1.0
     return np.divide(numer, e, out=e)
 

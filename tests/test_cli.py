@@ -362,7 +362,7 @@ class TestJacobianCmd:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and "non-finite Jacobian eigenvalue at t=" in lines[0]
 
-    def test_non_2d_model_rejected(self, workspace):
+    def test_non_2d_model_rejected(self, workspace, capsys):
         cfg = {
             "format_version": 1, "seed": 1,
             "dataset": {"kind": "gaussian_nd", "n": 64, "dim": 3, "noise": 0.0},
@@ -373,8 +373,11 @@ class TestJacobianCmd:
         cfg_path.write_text(json.dumps(cfg))
         model = workspace / "nd_model.json"
         assert cli.main(["train", "--config", str(cfg_path), "--out", str(model)]) == 0
+        capsys.readouterr()
         code = cli.main(["jacobian", "--model", str(model), "--out", str(workspace / "x")])
         assert code == 2
+        assert "2D model" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
 
 
 class TestDopriTraceCmd:
@@ -474,6 +477,8 @@ MALFORMED_INPUT = {
         "--solver", "rk4", "--steps", "2", "--atol", "0.5", "--out", str(ws / "out")],
     "atol-flag-nonpositive": lambda ws, model: ["sample", "--model", str(model),
         "--solver", "dopri5", "--atol", "-1", "--out", str(ws / "out")],
+    "dopri-trace-atol-nonpositive": lambda ws, model: ["dopri-trace", "--model", str(model),
+        "--atol", "0", "--out", str(ws / "out")],
     "grid-atol-zero": lambda ws, model: _benchmark_argv(
         ws, model, {"method": "dopri5", "atol": 0.0, "rtol": 1e-4}),
     "config-output-dir": lambda ws, model: _train_argv(
@@ -581,12 +586,9 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert len(captured.err.strip().splitlines()) == 1
         assert not captured.out  # no "training ..." or "trained ..." line
-        if argv[0] in ("sample", "benchmark", "jacobian"):
-            # a bad model, flag or solver grid fails before the output
-            # directory is made, so no sampling work is done and nothing written
-            assert not (workspace / "out").exists()
-        if argv[0] == "train":
-            assert not (workspace / "m.json").exists()
+        # a failed run leaves no --out behind: the output directory is made
+        # only at the first write, and train's model file only after training
+        assert not (workspace / ("m.json" if argv[0] == "train" else "out")).exists()
 
     @pytest.mark.parametrize("hidden", [False, True], ids=["model", "hidden-sweep"])
     def test_bad_seed_env_leaves_no_output(self, hidden, trained, monkeypatch, capsys):
@@ -657,6 +659,88 @@ class TestCountFlags:
         assert message in captured.err
         assert "training" not in captured.out
         assert not out.exists()
+
+
+# the functions that do each directory subcommand's work
+WORK_FUNCTIONS = [
+    (cli.cfm, "train"), (cli.cfm, "sample"), (cli.analysis, "convergence_study"),
+    (cli.analysis, "dopri5_tolerance_study"), (cli.analysis, "stability_demo"),
+    (cli.analysis, "pareto_benchmark"), (cli.analysis, "spectrum_along_trajectory"),
+    (cli, "stability_region_grid"),
+]
+
+DIRECTORY_COMMANDS = {
+    "convergence": lambda ws, model: ["convergence"],
+    "stability": lambda ws, model: ["stability", "--resolution", "21"],
+    "sample": lambda ws, model: ["sample", "--model", str(model), "--solver", "rk4",
+                                 "--steps", "2", "--n", "8"],
+    "benchmark": lambda ws, model: ["benchmark", "--model", str(model), "--n", "8",
+                                    "--projections", "4"],
+    "benchmark-hidden": lambda ws, model: ["benchmark", "--config", str(ws / "cfg.json"),
+                                           "--hidden", "8", "--n", "8", "--projections", "4"],
+    "jacobian": lambda ws, model: ["jacobian", "--model", str(model), "--n-samples", "4",
+                                   "--time-points", "2", "--steps", "2"],
+    "dopri-trace": lambda ws, model: ["dopri-trace", "--model", str(model), "--n", "8"],
+}
+
+
+# --out values that cannot be made a directory, given an existing file
+NOT_A_DIRECTORY = {
+    "names-a-file": lambda taken: str(taken),
+    "under-a-file": lambda taken: str(taken / "out"),
+    "empty": lambda taken: "",
+}
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("out", NOT_A_DIRECTORY)
+    @pytest.mark.parametrize("command", DIRECTORY_COMMANDS)
+    def test_rejected_before_any_work(self, command, out, trained, monkeypatch, capsys):
+        # an --out that cannot be made a directory fails before anything is
+        # sampled, trained or studied, not at the first write
+        workspace, model = trained
+        for module, name in WORK_FUNCTIONS:
+            def unreachable(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} called")
+            monkeypatch.setattr(module, name, unreachable)
+        taken = workspace / "taken"
+        taken.write_text("kept")
+        argv = [*DIRECTORY_COMMANDS[command](workspace, model), "--out", NOT_A_DIRECTORY[out](taken)]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1 and not captured.out
+        assert taken.read_text() == "kept"
+
+
+REQUIRED = "required"
+
+# every settable flag of every subcommand and its default
+FLAG_DEFAULTS = {
+    "convergence": {"--dim": 1, "--out": "out"},
+    "stability": {"--re-min": -5.0, "--re-max": 2.0, "--im-min": -4.0, "--im-max": 4.0,
+                  "--resolution": 281, "--demo-t1": 4.0, "--out": "out"},
+    "train": {"--config": REQUIRED, "--out": REQUIRED, "--loss-csv": None, "--seed": None},
+    "sample": {"--model": REQUIRED, "--solver": REQUIRED, "--steps": None, "--atol": None,
+               "--rtol": None, "--n": 2000, "--seed": 0, "--out": "out"},
+    "benchmark": {"--model": None, "--config": None, "--hidden": None, "--n": 2000,
+                  "--projections": 200, "--seed": None, "--out": "out"},
+    "jacobian": {"--model": REQUIRED, "--n-samples": 200, "--time-points": 11, "--steps": 50,
+                 "--seed": 0, "--out": "out"},
+    "dopri-trace": {"--model": REQUIRED, "--atol": 1e-5, "--rtol": 1e-5, "--n": 2000,
+                    "--bins": 10, "--seed": 0, "--out": "out"},
+}
+
+
+def test_parser_flags_and_defaults():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    found = {
+        command: {a.option_strings[0]: REQUIRED if a.required else a.default
+                  for a in parser._actions if a.dest != "help"}
+        for command, parser in subparsers.items()
+    }
+    assert found == FLAG_DEFAULTS
+    assert sum(map(len, found.values())) == 41
 
 
 STABILITY_FLAGS = {
@@ -782,13 +866,15 @@ class TestInputsTooLargeForMemory:
         workspace, model = trained
         argv = TOO_LARGE_FOR_MEMORY[case](workspace, model)
         out = workspace / "out"
-        argv += ["--out", str(out / "m.json" if argv[0] == "train" else out)]
+        # train's --out is a file, whose directory is made before training
+        out = out / "m.json" if argv[0] == "train" else out
         before = set(workspace.rglob("*"))
         capsys.readouterr()
-        assert cli.main(argv) == 2
+        assert cli.main([*argv, "--out", str(out)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: input too large for memory: ")
         assert not [p for p in set(workspace.rglob("*")) - before if p.is_file()]
+        assert not out.exists()
 
 
 FAR_PARAMETER_COMMANDS = {
@@ -813,6 +899,7 @@ class TestFarParameters:
         assert cli.main([name, "--model", path, *flags, "--out", str(workspace / "out")]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+        assert not (workspace / "out").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_input_weight_of_1e10_stops_dopri5_promptly(self, trained, capsys):
@@ -850,7 +937,7 @@ class TestEditedModelFilesThroughTheCli:
         # a repeated name, other key order or whitespace, a damaged character)
         # and runs one command on it.  Exit 0, 2 or 3, never a traceback; one
         # stderr line on failure (benchmark warns of failed specs and exits
-        # 0); no output directory on exit 2; a time bound
+        # 0); no output directory on a non-zero exit; a time bound
         workspace, model = trained
         commands = random.Random(20)
         failures = []
@@ -868,7 +955,7 @@ class TestEditedModelFilesThroughTheCli:
                 code = repr(exc)
             seconds = time.perf_counter() - start
             err = capsys.readouterr().err.strip().splitlines()
-            if (code not in (0, 2, 3) or code and len(err) != 1 or (code == 2 and out.exists())
+            if (code not in (0, 2, 3) or code and len(err) != 1 or (code and out.exists())
                     or seconds > self.SECONDS):
                 failures.append((i, name, code, err, round(seconds, 2), text[:200]))
         assert not failures, failures[:3]
