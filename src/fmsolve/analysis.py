@@ -8,10 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cfm
+from . import cfm, ode
 from .data import generate
 from .numeric import cond2x2, eig2x2, gaussian_sample
-from .ode import EULER, IntegrationError, VectorField, integrate_fixed, rk_step
+from .ode import EULER, IntegrationError, SolverSpec, VectorField, integrate_fixed, rk_step
 
 __all__ = [
     "swd",
@@ -112,11 +112,10 @@ def dopri5_tolerance_study(problem, tol_list):
     """Adaptive-solver counterpart of :func:`convergence_study`: global error
     as the shared atol=rtol tolerance is swept.  Rows reuse ConvergenceRow
     with the tolerance in the h slot."""
-    from .ode import SolverSpec, integrate_dopri5
-
     rows = []
     for tol in tol_list:
-        err = _global_error(problem, integrate_dopri5, SolverSpec("dopri5", atol=tol, rtol=tol))
+        # ode.integrate_dopri5 is looked up per call, as perfbench's tracer wraps it there
+        err = _global_error(problem, ode.integrate_dopri5, SolverSpec("dopri5", atol=tol, rtol=tol))
         rows.append(ConvergenceRow(method="dopri5", h=tol, global_error=err))
     return rows
 
@@ -307,7 +306,7 @@ def dopri_step_summary(trace, bins=10):
     Returns per-bin counts and mean step size plus the raw accepted pairs.
     Raises on a trace with no accepted steps.
     """
-    accepted = [(s.t, s.h) for s in trace.steps if s.accepted]
+    accepted = [(s.t, s.h) for s in trace.accepted_steps]
     if not accepted:
         raise ValueError("trace has no accepted steps")
     if bins < 1:

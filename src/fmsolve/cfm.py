@@ -32,7 +32,6 @@ from .ode import IntegrationError, SolverSpec, VectorField, integrate_dopri5, in
 __all__ = [
     "TrainConfig",
     "MAX_TRAIN_STEPS",
-    "CfmBatch",
     "SolverSpec",
     "TrainedModel",
     "TrainingError",
@@ -115,29 +114,17 @@ class TrainConfig:
         return cls(**{**d, **nested}, seed=seed)
 
 
-@dataclass
-class CfmBatch:
-    """One training batch; x_t and u_t satisfy the interpolation identities
-    exactly (same float ops everywhere)."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    t: np.ndarray
-    x_t: np.ndarray
-    u_t: np.ndarray
-
-
 def _pairs(x1, rng):
-    """Interpolation batch for given data rows: draw noise and times, build
-    x_t = (1-t) x0 + t x1 and u_t = x1 - x0.  Pairing is independent: no
-    minibatch coupling between x0 and x1."""
+    """Interpolation batch ``(x_t, t, u_t)`` for given data rows: draw noise
+    x0 and times t, build x_t = (1-t) x0 + t x1 and u_t = x1 - x0.  Pairing
+    is independent: no minibatch coupling between x0 and x1."""
     n, d = x1.shape
     x0 = gaussian_sample(rng, n, d)
     t = rng.uniform(size=n)
     tt = t[:, None]
     x_t = (1.0 - tt) * x0 + tt * x1
     u_t = x1 - x0
-    return CfmBatch(x0=x0, x1=x1, t=t, x_t=x_t, u_t=u_t)
+    return x_t, t, u_t
 
 
 @dataclass
@@ -190,13 +177,13 @@ def train(config):
         perm = loop_rng.permutation(n)
         total = 0.0
         for step, lo in enumerate(range(0, n, config.batch_size)):
-            batch = _pairs(data[perm[lo : lo + config.batch_size]], loop_rng)
-            loss = workspace.step(params, state, batch.x_t, batch.t, batch.u_t, config.lr)
+            x_t, t, u_t = _pairs(data[perm[lo : lo + config.batch_size]], loop_rng)
+            loss = workspace.step(params, state, x_t, t, u_t, config.lr)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {step}", epoch=epoch, step=step
                 )
-            total += loss * batch.x1.shape[0]
+            total += loss * len(x_t)
         loss_curve.append(total / n)
     return TrainedModel(
         params=params,

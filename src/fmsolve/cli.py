@@ -43,10 +43,6 @@ DEFAULT_GRID = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config file handling
 
@@ -78,11 +74,11 @@ def load_run_config(path):
                 raise ValueError("solver_grid: expected a non-empty list")
             grid = [_grid_entry(i, s) for i, s in enumerate(grid)]
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError:
-        raise ConfigError(f"malformed JSON in {path}: nested too deeply") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
     return tc, grid
 
 
@@ -103,7 +99,7 @@ def _resolve_seed(flag, default=None):
         try:
             return int(env)
         except ValueError:
-            raise ConfigError(f"FMSOLVE_SEED must be an integer, got {env!r}") from None
+            raise ValueError(f"FMSOLVE_SEED must be an integer, got {env!r}") from None
     return default if flag is None else flag
 
 
@@ -116,7 +112,7 @@ def _check_out_dir(path):
     while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not path or not os.path.isdir(head):
-        raise ConfigError(f"--out {path!r} cannot be a directory")
+        raise ValueError(f"--out {path!r} cannot be a directory")
 
 
 def _out(args, name):
@@ -203,9 +199,9 @@ def cmd_train(args):
     loss_csv = args.loss_csv or os.path.splitext(args.out)[0] + ".loss.csv"
     for path in (args.out, loss_csv):
         if os.path.isdir(path) or not os.path.basename(path):
-            raise ConfigError(f"output path {path} names a directory, not a file")
+            raise ValueError(f"output path {path} names a directory, not a file")
     if os.path.realpath(loss_csv) == os.path.realpath(args.out):
-        raise ConfigError(f"--loss-csv and --out name the same file {args.out}")
+        raise ValueError(f"--loss-csv and --out name the same file {args.out}")
     # paths are checked and directories made first, so a bad path costs no training
     for path in (args.out, loss_csv):
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -264,12 +260,12 @@ def _write_pareto(args, name, rows):
 
 def cmd_benchmark(args):
     if args.model and args.hidden:
-        raise ConfigError("--model and --hidden exclude each other: --hidden retrains per width")
+        raise ValueError("--model and --hidden exclude each other: --hidden retrains per width")
     tc, grid = load_run_config(args.config) if args.config else (None, None)
     grid = grid or DEFAULT_GRID
     if args.hidden:
         if tc is None:
-            raise ConfigError("--hidden sweep needs --config with dataset/train settings")
+            raise ValueError("--hidden sweep needs --config with dataset/train settings")
         seed = _resolve_seed(args.seed, tc.seed)
         sweep = {}
         for w in args.hidden:
@@ -283,7 +279,7 @@ def cmd_benchmark(args):
         print(f"ablation over widths {args.hidden} -> {os.path.join(args.out, 'ablation.csv')}")
         return EXIT_OK
     if not args.model:
-        raise ConfigError("--model is required (or use --hidden with --config)")
+        raise ValueError("--model is required (or use --hidden with --config)")
     model = cfm.load_model(args.model)
     seed = _resolve_seed(args.seed, model.config.seed)
     rows = _benchmark_one(model, grid, args, Rng(seed))
@@ -448,9 +444,6 @@ def main(argv=None):
         if args.command != "train":  # the one subcommand whose --out is a file
             _check_out_dir(args.out)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (IntegrationError, TrainingError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -17,7 +17,7 @@ frameworks and bit-reproducible.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,10 +100,13 @@ class MlpParams:
     """
 
     def __init__(self, config):
+        # sized from one block before the blocks are listed: a huge n_blocks fails at once
+        head, block, tail = (sum(math.prod(s) for _, s in seg)
+                             for seg in _segments(replace(config, n_blocks=1)))
+        self.config = config
+        self.flat = np.zeros(head + config.n_blocks * block + tail)
         layout = list(_segments(config))
         ends = list(itertools.accumulate(sum(math.prod(s) for _, s in seg) for seg in layout))
-        self.config = config
-        self.flat = np.zeros(ends[-1])
         self.segments = [(slice(lo, end), seg) for lo, end, seg in zip([0, *ends], ends, layout)]
         views = [_views(self.flat[s], seg) for s, seg in self.segments]
         (self.w_in, self.b_in), *blocks, (self.w_out, self.b_out) = views

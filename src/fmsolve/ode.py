@@ -387,10 +387,10 @@ def propose_step(h, err):
     return h * min(ALPHA_MAX, max(ALPHA_MIN, SAFETY * err ** -ORDER_EXPONENT))
 
 
-def initial_step_guess(f, t0, y0, t1, cfg, f0):
-    """Initial step size for the adaptive run of the :class:`SolverSpec` cfg.
+def initial_step_guess(f, t0, y0, t1, spec, f0):
+    """Initial step size for the adaptive run of the :class:`SolverSpec` spec.
 
-    Returns cfg.h_init when set.  Otherwise, with f0 = f(t0, y0) (the
+    Returns spec.h_init when set.  Otherwise, with f0 = f(t0, y0) (the
     caller's first stage, already checked finite), d0 = ||y0|| and
     d1 = ||f0|| in the :func:`error_norm` of y0, a first guess
     h0 = 0.01 * d0 / d1 is refined by one trial Euler step: with
@@ -401,11 +401,11 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
     costs one field evaluation unless the flat-field shortcut triggers.
     """
     span = t1 - t0
-    if cfg.h_init is not None:
-        return min(float(cfg.h_init), span)
+    if spec.h_init is not None:
+        return min(float(spec.h_init), span)
     y0 = np.asarray(y0, dtype=float)
-    d0 = error_norm(y0, y0, y0, cfg.atol, cfg.rtol)
-    d1 = error_norm(f0, y0, y0, cfg.atol, cfg.rtol)
+    d0 = error_norm(y0, y0, y0, spec.atol, spec.rtol)
+    d1 = error_norm(f0, y0, y0, spec.atol, spec.rtol)
     if d1 < 1e-12:
         return span
     if d1 == np.inf:  # no step is small enough for the heuristic
@@ -413,21 +413,21 @@ def initial_step_guess(f, t0, y0, t1, cfg, f0):
     h0 = 0.01 * d0 / d1 if d0 >= 1e-5 else 1e-6
     h0 = min(h0, span)
     f_trial = _check_finite(f(t0 + h0, y0 + h0 * f0), t0, y0, h0)
-    d2 = error_norm(f_trial - f0, y0, y0, cfg.atol, cfg.rtol) / h0
+    d2 = error_norm(f_trial - f0, y0, y0, spec.atol, spec.rtol) / h0
     h1 = (0.01 / max(d1, d2)) ** ORDER_EXPONENT
     return min(100.0 * h0, h1, span)
 
 
-def integrate_dopri5(f, y0, t0, t1, cfg):
+def integrate_dopri5(f, y0, t0, t1, spec):
     """Adaptive Dormand-Prince 5(4) integration of y' = f(t, y) as the
-    adaptive :class:`SolverSpec` cfg describes (ValueError for another).
+    adaptive :class:`SolverSpec` spec describes (ValueError for another).
 
     The embedded 4th-order weights give a free local error estimate; a step
     is accepted when its scaled error norm is <= 1, and the controller of
     :func:`propose_step` picks the next size.  The last stage of an accepted
     step is reused as the first stage of the next (FSAL), so an accepted or
     rejected attempt costs 6 evaluations on top of a single up-front k1.
-    When no explicit cfg.h_init is given the starting-step heuristic spends
+    When no explicit spec.h_init is given the starting-step heuristic spends
     at most 1 further evaluation, so
 
         NFE = 1 + 6 * (accepted + rejected) (+1 for the heuristic trial).
@@ -449,8 +449,8 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if not cfg.adaptive:
-        raise ValueError(f"integrate_dopri5 needs an adaptive SolverSpec, got {cfg.method!r}")
+    if not spec.adaptive:
+        raise ValueError(f"integrate_dopri5 needs an adaptive SolverSpec, got {spec.method!r}")
     db = DOPRI5.b - DOPRI5.b_star
 
     y = np.array(y0, dtype=float)
@@ -459,7 +459,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
     trace = SolveTrace()
 
     k1 = _check_finite(f(t, y), t, y)
-    h = initial_step_guess(f, t0, y, t1, cfg, f0=k1)
+    h = initial_step_guess(f, t0, y, t1, spec, f0=k1)
 
     just_rejected = False
     stiff = calm = 0  # stiff accepted steps; non-stiff ones in a row
@@ -480,7 +480,7 @@ def integrate_dopri5(f, y0, t0, t1, cfg):
         y5 = y + h * _weighted_sum(DOPRI5.b, k)
         e = h * _weighted_sum(db, k)
         _check_state(y5, t, h, attempt)
-        err = error_norm(e, y, y5, cfg.atol, cfg.rtol)
+        err = error_norm(e, y, y5, spec.atol, spec.rtol)
         accepted = err <= 1.0
         trace.steps.append(
             StepRecord(t=t, h=h, err=err, accepted=accepted, nfe_cum=f.nfe - nfe0)

@@ -35,8 +35,6 @@ def _labels(values):
 
 def _ticks_linear(lo, hi):
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):

@@ -274,6 +274,7 @@ class TestStepSummary:
         assert s.counts.tolist() == [2, 1, 1, 0]
         assert s.mean_h[:3].tolist() == [0.125, 0.25, 0.5]
         assert np.isnan(s.mean_h[3])
+        assert np.isnan(s.mean_h_over(0.8, 0.9))  # no accepted step starts there
 
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):

@@ -24,9 +24,14 @@ def tiny_config(seed=0, kind="moons", **overrides):
     return cfm.TrainConfig.default(dataset, seed=seed, **defaults, **overrides)
 
 
-def first_train_batch(data, rng, batch_size):
-    # the pairing train uses: a slice of the epoch's permutation of the rows
-    return cfm._pairs(data[rng.permutation(data.shape[0])[:batch_size]], rng)
+def first_train_batch(data, seed, batch_size):
+    # the pairing train uses: a slice of the epoch's permutation of the rows;
+    # x0 is the noise _pairs draws, drawn again from a replay of the same Rng
+    rng, replay = Rng(seed), Rng(seed)
+    x1 = data[rng.permutation(data.shape[0])[:batch_size]]
+    replay.permutation(data.shape[0])
+    x0 = gaussian_sample(replay, *x1.shape)
+    return (x0, x1, *cfm._pairs(x1, rng))
 
 
 def default_size_model():
@@ -50,12 +55,12 @@ def traced_peak(fn, *args):
 class TestBatches:
     def test_interpolation_identities_bitwise(self):
         data = Rng(1).normal(size=(100, 2))
-        batch = first_train_batch(data, Rng(2), 32)
-        tt = batch.t[:, None]
-        assert np.array_equal(batch.x_t, (1.0 - tt) * batch.x0 + tt * batch.x1)
-        assert np.array_equal(batch.u_t, batch.x1 - batch.x0)
+        x0, x1, x_t, t, u_t = first_train_batch(data, 2, 32)
+        tt = t[:, None]
+        assert np.array_equal(x_t, (1.0 - tt) * x0 + tt * x1)
+        assert np.array_equal(u_t, x1 - x0)
         # rearranged identity holds up to one rounding of the subtraction
-        assert batch.u_t + batch.x0 == pytest.approx(batch.x1, rel=1e-15, abs=1e-15)
+        assert u_t + x0 == pytest.approx(x1, rel=1e-15, abs=1e-15)
 
     def test_endpoint_semantics(self):
         # the interpolation formula pins t=0 to x0 and t=1 to x1 exactly
@@ -67,9 +72,9 @@ class TestBatches:
 
     def test_batch_shapes_and_validation(self):
         data = Rng(1).normal(size=(50, 3))
-        batch = first_train_batch(data, Rng(2), 17)
-        assert batch.x_t.shape == (17, 3)
-        assert np.all((batch.t >= 0) & (batch.t < 1))
+        _, _, x_t, t, _ = first_train_batch(data, 2, 17)
+        assert x_t.shape == (17, 3)
+        assert np.all((t >= 0) & (t < 1))
         with pytest.raises(ValueError):
             tiny_config(batch_size=0)
 

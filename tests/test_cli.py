@@ -532,6 +532,8 @@ MALFORMED_INPUT = {
         ws, model, lambda d: d["params"]["block0.w1"][0].__setitem__(0, float("nan"))),
     "model-tensor-missing-a-row": lambda ws, model: _model_argv(
         ws, model, lambda d: d["params"]["block0.w1"].pop()),
+    "model-data-dim-zero": lambda ws, model: _model_argv(
+        ws, model, lambda d: d["config"]["mlp"].update(data_dim=0)),
     "model-blocks-beyond-the-file": lambda ws, model: _model_argv(
         ws, model, lambda d: d["config"]["mlp"].update(n_blocks=10**5)),
     "model-param-beyond-the-float-range": lambda ws, model: _model_argv(
@@ -613,12 +615,12 @@ class TestMalformedInput:
     def test_solver_grid_errors_name_the_entry(self, entry, workspace):
         grid = [{"method": "rk4", "steps": 4}, entry]
         cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=grid))
-        with pytest.raises(cli.ConfigError, match=r"^solver_grid\[1\]: "):
+        with pytest.raises(ValueError, match=r"^solver_grid\[1\]: "):
             cli.load_run_config(cfg)
 
     def test_empty_solver_grid_rejected(self, workspace):
         cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=[]))
-        with pytest.raises(cli.ConfigError, match="solver_grid: expected a non-empty list"):
+        with pytest.raises(ValueError, match="solver_grid: expected a non-empty list"):
             cli.load_run_config(cfg)
 
 
@@ -876,6 +878,21 @@ class TestInputsTooLargeForMemory:
         assert not [p for p in set(workspace.rglob("*")) - before if p.is_file()]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_blocks", [10**13, 10**30], ids=["1e13", "1e30"])
+    def test_block_count_fails_at_once(self, n_blocks, workspace, capsys):
+        # the parameter layout was listed block by block before anything was
+        # allocated: exit 2 only after about 27 s under a 4 GB address space
+        cfg = _edited(TINY_CONFIG, workspace / "blocks.json",
+                      lambda d: d["train"]["mlp"].update(n_blocks=n_blocks))
+        model = workspace / "m.json"
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert cli.main(["train", "--config", cfg, "--out", str(model)]) == 2
+        assert time.perf_counter() - start < 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not model.exists()
+
 
 FAR_PARAMETER_COMMANDS = {
     "sample-rk4": ["sample", "--solver", "rk4", "--steps", "5", "--n", "8"],
@@ -958,6 +975,70 @@ class TestEditedModelFilesThroughTheCli:
             if (code not in (0, 2, 3) or code and len(err) != 1 or (code and out.exists())
                     or seconds > self.SECONDS):
                 failures.append((i, name, code, err, round(seconds, 2), text[:200]))
+        assert not failures, failures[:3]
+
+
+# the config fuzzer's value pool: each case puts one in place of one value of a config
+CONFIG_VALUES = [None, True, False, 0, -1, 1.5, 1e308, -1e308, 1e-320, float("nan"),
+                 float("inf"), float("-inf"), "x", [], {}, 10**13, 10**30]
+FUZZED_CONFIG = {**TINY_CONFIG, "solver_grid": [
+    {"method": "rk4", "steps": 2}, {"method": "dopri5", "atol": 1e-3, "rtol": 1e-3}]}
+# the commands that read a config, at sizes that keep a case near 0.01 s
+CONFIG_COMMANDS = {
+    "train": lambda cfg, out: ["train", "--config", cfg, "--out", str(out / "m.json")],
+    "benchmark": lambda cfg, out: ["benchmark", "--config", cfg, "--hidden", "8", "--n", "8",
+                                   "--projections", "4", "--out", str(out)],
+}
+
+
+def _places(node, path=()):
+    """The key and index paths of every value below a JSON document's root."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*path, key)
+        yield from _places(child, (*path, key))
+
+
+def _replace_at(path, value):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+class TestEditedConfigFilesThroughTheCli:
+    BUDGET = 300
+    SECONDS = 10  # per case
+
+    @pytest.mark.filterwarnings("error")
+    def test_exit_codes_hold(self, workspace, capsys):
+        # each case replaces one value anywhere in the config (a solver_grid
+        # included) by one from the pool and runs one command on it, with the
+        # invariants of TestEditedModelFilesThroughTheCli; train's --out is a
+        # model file, so a non-zero exit leaves no file in its directory
+        rng = random.Random(1)
+        places = list(_places(FUZZED_CONFIG))
+        failures = []
+        for i in range(self.BUDGET):
+            place, value = rng.choice(places), rng.choice(CONFIG_VALUES)
+            name = rng.choice(sorted(CONFIG_COMMANDS))
+            cfg = _edited(FUZZED_CONFIG, workspace / "edited.json", _replace_at(place, value))
+            out = workspace / f"out{i}"
+            capsys.readouterr()
+            start = time.perf_counter()
+            try:
+                code = cli.main(CONFIG_COMMANDS[name](cfg, out))
+            except Exception as exc:  # every escape is a finding
+                code = repr(exc)
+            seconds = time.perf_counter() - start
+            err = capsys.readouterr().err.strip().splitlines()
+            left = [p for p in out.rglob("*") if p.is_file()] if out.exists() else []
+            if (code not in (0, 2, 3) or code and len(err) != 1
+                    or code and (left if name == "train" else out.exists())
+                    or seconds > self.SECONDS):
+                failures.append((i, name, place, value, code, err, round(seconds, 2)))
         assert not failures, failures[:3]
 
 

@@ -75,6 +75,7 @@ class TestGenerate:
         for n in (1, 2, 7, 13):
             n0, n1 = component_sizes(DatasetSpec("moons", n=n))
             assert n0 + n1 == n and n0 - n1 in (0, 1)
+        assert component_sizes(DatasetSpec("gaussian_nd", n=7, dim=3)) == (7,)
 
 
 # sha256 of the points of generate(DatasetSpec(kind, n, noise), Rng(11)),

@@ -581,6 +581,8 @@ class TestStability:
             i = int(np.argmin(np.abs(r.im)))
             j = int(np.argmin(np.abs(r.re - 1.0)))
             assert not r.inside[i, j]
+            # no cell of re in [1, 2] is inside, so there is no extent
+            assert np.isnan(stability_region_grid(m, (1, 2), (-1, 1), 11).real_axis_extent())
 
     def test_rk4_extent_matches_known_boundary(self):
         r = stability_region_grid("rk4", (-5, 2), (-4, 4), 281)
