@@ -6,10 +6,10 @@ figures are the minimal SVGs of :mod:`fmsolve.svg`.  Every subcommand is
 deterministic given its config and seed; the FMSOLVE_SEED environment
 variable overrides the seed everywhere.
 
-Every subcommand but ``train`` writes into the directory ``--out``, made at
-the first write once the command has computed what it writes, so a failed
-run leaves no ``--out``; one that is or lies under a file exits 2 first.
-``train --out`` is the model file; its directory is made before training.
+Every output file's directory is made at its first write, once the command
+has computed what it writes, so a failed run leaves no directory behind; one
+that is or lies under a file exits 2 first.  ``--out`` names the output
+directory, or for ``train`` the model file (its loss curve: ``--loss-csv``).
 
 Exit codes: 0 success, 2 usage, config or out-of-memory error, 3 numeric failure.
 """
@@ -107,18 +107,19 @@ def _resolve_seed(flag, default=None):
 # output helpers
 
 def _check_out_dir(path):
-    """Fail, before any work, on an ``--out`` that cannot be made a directory."""
+    """Fail, before any work, on an output directory that cannot be made."""
     head = os.path.abspath(path)
     while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not path or not os.path.isdir(head):
-        raise ValueError(f"--out {path!r} cannot be a directory")
+        raise ValueError(f"{path!r} cannot be an output directory")
 
 
-def _out(args, name):
-    """Path of file ``name`` in the ``--out`` directory, made at the first write."""
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _out(*parts):
+    """Output file ``os.path.join(*parts)``; its directory is made at the first write."""
+    path = os.path.join(*parts)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return path
 
 
 def _header(record_type, **rename):
@@ -146,13 +147,13 @@ def cmd_convergence(args):
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
     all_rows = rows + dopri_rows
     write_csv(
-        _out(args, "convergence.csv"),
+        _out(args.out, "convergence.csv"),
         _header(analysis.ConvergenceRow, global_error="error"),
         map(astuple, all_rows),
     )
     labels = {**{m: m for m in FIXED_STEP_METHODS}, "dopri5": "dopri5 (tol on h axis)"}
     svg.line_chart(
-        _out(args, "convergence.svg"),
+        _out(args.out, "convergence.svg"),
         _method_series(all_rows, labels, lambda r: r.h, lambda r: max(r.global_error, 1e-17)),
         title=f"Global error at t=1, decay problem ({args.dim}D)",
         xlabel="step size h (tolerance for dopri5)", ylabel="global error",
@@ -173,16 +174,16 @@ def cmd_stability(args):
     demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
     traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1)
     for raster in rasters:
-        raster.write_csv(_out(args, f"stability_{raster.method}.csv"))
+        raster.write_csv(_out(args.out, f"stability_{raster.method}.csv"))
         svg.raster_chart(
-            _out(args, f"stability_{raster.method}.svg"), raster,
+            _out(args.out, f"stability_{raster.method}.svg"), raster,
             title=f"{raster.method}: |R(z)| <= 1",
         )
         print(f"{raster.method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
     demo_rows = [(tr.h, n, y) for tr in traces for n, y in enumerate(tr.y.tolist())]
-    write_csv(_out(args, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
+    write_csv(_out(args.out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
     svg.line_chart(
-        _out(args, "stability_demo.svg"),
+        _out(args.out, "stability_demo.svg"),
         [{"label": f"h={tr.h:.4g}" + (" (diverged)" if tr.diverged else ""),
           "x": list(range(len(tr.y))), "y": list(tr.y)} for tr in traces],
         title="Euler on y' = -15y", xlabel="step n", ylabel="y_n", markers=False,
@@ -200,14 +201,12 @@ def cmd_train(args):
     for path in (args.out, loss_csv):
         if os.path.isdir(path) or not os.path.basename(path):
             raise ValueError(f"output path {path} names a directory, not a file")
+        _check_out_dir(os.path.dirname(path) or os.curdir)
     if os.path.realpath(loss_csv) == os.path.realpath(args.out):
         raise ValueError(f"--loss-csv and --out name the same file {args.out}")
-    # paths are checked and directories made first, so a bad path costs no training
-    for path in (args.out, loss_csv):
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     model = cfm.train(tc)
-    cfm.save_model(model, args.out)
-    write_csv(loss_csv, ["epoch", "loss"], enumerate(model.loss_curve))
+    cfm.save_model(model, _out(args.out))
+    write_csv(_out(loss_csv), ["epoch", "loss"], enumerate(model.loss_curve))
     print(f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}")
     print(f"model -> {args.out}")
     print(f"loss curve -> {loss_csv}")
@@ -228,11 +227,11 @@ def cmd_sample(args):
     spec = _solver_from_args(args)
     points, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     header = [f"x{i}" for i in range(points.shape[1])]
-    write_csv(_out(args, "samples.csv"), header, points.tolist())
-    trace.write_csv(_out(args, "trace.csv"))
+    write_csv(_out(args.out, "samples.csv"), header, points.tolist())
+    trace.write_csv(_out(args.out, "trace.csv"))
     if points.shape[1] == 2:
         svg.scatter_chart(
-            _out(args, "samples.svg"), points, label=f"{spec.method}-{spec.steps_label}",
+            _out(args.out, "samples.svg"), points, label=f"{spec.method}-{spec.steps_label}",
             title=f"samples ({spec.method}, {spec.steps_label} steps)",
             xlabel="x0", ylabel="x1",
         )
@@ -250,9 +249,9 @@ def _benchmark_one(model, grid, args, rng):
 
 def _write_pareto(args, name, rows):
     """``<name>.csv`` and ``<name>.svg`` of one benchmark run in ``--out``."""
-    write_csv(_out(args, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
+    write_csv(_out(args.out, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
     svg.line_chart(
-        _out(args, f"{name}.svg"),
+        _out(args.out, f"{name}.svg"),
         _method_series(rows, {m: m for m in TABLEAUS}, lambda r: r.nfe, lambda r: r.swd),
         title="NFE vs SWD", xlabel="NFE", ylabel="SWD", logx=True, logy=True,
     )
@@ -275,7 +274,7 @@ def cmd_benchmark(args):
         for w, rows in sweep.items():
             _write_pareto(args, f"pareto_hidden{w}", rows)
         ablation = [(w, *astuple(r)) for w, rows in sweep.items() for r in rows]
-        write_csv(_out(args, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)], ablation)
+        write_csv(_out(args.out, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)], ablation)
         print(f"ablation over widths {args.hidden} -> {os.path.join(args.out, 'ablation.csv')}")
         return EXIT_OK
     if not args.model:
@@ -295,7 +294,7 @@ def cmd_jacobian(args):
     rng = Rng(_resolve_seed(args.seed))
     grid = list(np.linspace(0.0, 1.0, args.time_points))
     rows = analysis.spectrum_along_trajectory(model, args.n_samples, grid, spec, rng)
-    write_csv(_out(args, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
+    write_csv(_out(args.out, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
     ts = [r.t for r in rows]
     series = []
     # per eigenvalue: the mean line and the two edges of its +-1 std band
@@ -308,7 +307,7 @@ def cmd_jacobian(args):
             {"label": "", "x": ts, "y": [m - s for m, s in zip(mean, std)], "color": band},
         ]
     svg.line_chart(
-        _out(args, "spectrum.svg"), series,
+        _out(args.out, "spectrum.svg"), series,
         title="Jacobian eigenvalues along the flow", xlabel="t", ylabel="Re(eig)",
     )
     for r in rows:
@@ -322,14 +321,14 @@ def cmd_dopri_trace(args):
     spec = SolverSpec("dopri5", atol=args.atol, rtol=args.rtol)
     _, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
-    trace.write_csv(_out(args, "dopri_trace.csv"))
+    trace.write_csv(_out(args.out, "dopri_trace.csv"))
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
     if args.atol == args.rtol:
         tolerances = f"atol=rtol={args.atol:g}"
     else:
         tolerances = f"atol={args.atol:g}, rtol={args.rtol:g}"
     svg.line_chart(
-        _out(args, "dopri_steps.svg"),
+        _out(args.out, "dopri_steps.svg"),
         [
             {"label": "accepted h", "x": [t for t, _ in summary.accepted],
              "y": [h for _, h in summary.accepted]},
@@ -404,8 +403,8 @@ def build_parser():
                        help="sample from a trained model with a chosen solver")
     p.add_argument("--solver", required=True, choices=TABLEAUS)
     p.add_argument("--steps", type=count, default=None, help="step count (fixed-step solvers only)")
-    p.add_argument("--atol", type=float, default=None, help="dopri5 only (default 1e-5)")
-    p.add_argument("--rtol", type=float, default=None, help="dopri5 only (default 1e-5)")
+    p.add_argument("--atol", type=float, default=None, help=f"dopri5 only (default {SolverSpec.atol:g})")
+    p.add_argument("--rtol", type=float, default=None, help=f"dopri5 only (default {SolverSpec.rtol:g})")
     p.add_argument("--n", type=count, default=2000)
     p.set_defaults(func=cmd_sample)
 

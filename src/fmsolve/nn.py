@@ -465,8 +465,7 @@ def params_from_arrays(config, arrays):
     Nothing of the size ``config`` gives is allocated before ``arrays`` is
     known to fill it, so a config from a file cannot outgrow the file."""
     loaded = {}
-    # a layout longer than arrays misses a name among its first len(arrays) + 1
-    for name, shape in itertools.islice(itertools.chain.from_iterable(_segments(config)), len(arrays) + 1):
+    for name, shape in itertools.chain.from_iterable(_segments(config)):
         if name not in arrays:
             raise ValueError(f"missing parameter tensor {name!r}")
         loaded[name] = arr = np.asarray(arrays[name], dtype=float)

@@ -170,6 +170,7 @@ FIXED_STEP_METHODS = tuple(name for name, tab in TABLEAUS.items() if tab.b_star 
 #: step budget of one run: the most steps a fixed-step :class:`SolverSpec`
 #: takes, and the attempts, accepted or rejected, of an adaptive run
 MAX_STEPS = 100_000
+MAX_RESOLUTION = 2_000  #: grid points per axis of a stability raster
 
 
 @dataclass(frozen=True)
@@ -559,11 +560,11 @@ def stability_region_grid(method, re_range, im_range, resolution):
 
     ``re_range`` and ``im_range`` are (min, max) pairs with min < max and
     a finite span max - min; ``resolution`` is the number of grid points
-    per axis, at least 2.  Where R(z) passes the float range, |R| is inf:
-    outside the region.
+    per axis, 2 to MAX_RESOLUTION.  Where R(z) passes the float range, |R| is
+    inf: outside the region.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be 2 to {MAX_RESOLUTION}, got {resolution}")
     for name, (lo, hi) in (("re_range", re_range), ("im_range", im_range)):
         # float(): a numpy scalar's overflowing difference would warn
         if not (lo < hi and np.isfinite(float(hi) - float(lo))):

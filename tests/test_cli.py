@@ -137,15 +137,16 @@ class TestTrainCmd:
     ], ids=["lr-1e300", "noise-1e300", "lr-1e40", "lr-1e150"])
     def test_overflow_in_training_exits_3(self, section, key, value, message, tmp_path, capsys):
         # finite config values whose training overflows: one stderr line
-        # naming the failure, no float warning and no model file
+        # naming the failure, no float warning, and neither the model file
+        # nor the new directories it would have gone into
         config = json.loads(json.dumps(TINY_CONFIG))
         config[section][key] = value
-        cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+        cfg, new = tmp_path / "cfg.json", tmp_path / "new"
         cfg.write_text(json.dumps(config))
-        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert cli.main(["train", "--config", str(cfg), "--out", str(new / "sub" / "m.json")]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and re.search(message, lines[0])
-        assert not out.exists()
+        assert not new.exists()
 
     def test_seed_env_override(self, workspace, monkeypatch):
         cfg = str(workspace / "cfg.json")
@@ -569,6 +570,11 @@ MALFORMED_INPUT = {
         "--loss-csv", str(ws)],
     "train-out-names-no-file": lambda ws, model: [
         "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "newdir") + os.sep],
+    "train-loss-csv-under-a-file": lambda ws, model: [
+        "train", "--config", str(ws / "cfg.json"), "--out", str(ws / "m.json"),
+        "--loss-csv", str(ws / "cfg.json" / "loss.csv")],
+    "stability-resolution-past-the-ceiling": lambda ws, model: [
+        "stability", "--resolution", str(TOO_LARGE), "--out", str(ws / "out")],
 }
 
 
@@ -854,7 +860,6 @@ TOO_LARGE_FOR_MEMORY = {
     "dopri-trace-bins": lambda ws, model: ["dopri-trace", "--model", str(model), "--n", "8",
                                            "--bins", str(TOO_LARGE)],
     "convergence-dim": lambda ws, model: ["convergence", "--dim", str(TOO_LARGE)],
-    "stability-resolution": lambda ws, model: ["stability", "--resolution", str(TOO_LARGE)],
     "train-dataset-n": lambda ws, model: [
         "train", "--config", _edited(TINY_CONFIG, ws / "big.json", _one_step_on_too_many_points)],
 }
@@ -868,11 +873,10 @@ class TestInputsTooLargeForMemory:
         workspace, model = trained
         argv = TOO_LARGE_FOR_MEMORY[case](workspace, model)
         out = workspace / "out"
-        # train's --out is a file, whose directory is made before training
-        out = out / "m.json" if argv[0] == "train" else out
+        # train's --out is a model file in the directory out
         before = set(workspace.rglob("*"))
         capsys.readouterr()
-        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert cli.main([*argv, "--out", str(out / "m.json" if argv[0] == "train" else out)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: input too large for memory: ")
         assert not [p for p in set(workspace.rglob("*")) - before if p.is_file()]
@@ -1016,8 +1020,8 @@ class TestEditedConfigFilesThroughTheCli:
     def test_exit_codes_hold(self, workspace, capsys):
         # each case replaces one value anywhere in the config (a solver_grid
         # included) by one from the pool and runs one command on it, with the
-        # invariants of TestEditedModelFilesThroughTheCli; train's --out is a
-        # model file, so a non-zero exit leaves no file in its directory
+        # invariants of TestEditedModelFilesThroughTheCli; train writes its
+        # model file into the directory out
         rng = random.Random(1)
         places = list(_places(FUZZED_CONFIG))
         failures = []
@@ -1034,9 +1038,7 @@ class TestEditedConfigFilesThroughTheCli:
                 code = repr(exc)
             seconds = time.perf_counter() - start
             err = capsys.readouterr().err.strip().splitlines()
-            left = [p for p in out.rglob("*") if p.is_file()] if out.exists() else []
-            if (code not in (0, 2, 3) or code and len(err) != 1
-                    or code and (left if name == "train" else out.exists())
+            if (code not in (0, 2, 3) or code and len(err) != 1 or (code and out.exists())
                     or seconds > self.SECONDS):
                 failures.append((i, name, place, value, code, err, round(seconds, 2)))
         assert not failures, failures[:3]

@@ -592,6 +592,9 @@ class TestStability:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             stability_region_grid("euler", (-1, 1), (-1, 1), 1)
+        # past the ceiling: rejected before the raster is allocated
+        with pytest.raises(ValueError, match=f"resolution must be 2 to {ode.MAX_RESOLUTION}"):
+            stability_region_grid("euler", (-1, 1), (-1, 1), ode.MAX_RESOLUTION + 1)
 
     @pytest.mark.parametrize(
         "re_range, im_range",
