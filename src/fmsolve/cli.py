@@ -6,10 +6,12 @@ figures are the minimal SVGs of :mod:`fmsolve.svg`.  Every subcommand is
 deterministic given its config and seed; the FMSOLVE_SEED environment
 variable overrides the seed everywhere.
 
-Every output file's directory is made at its first write, once the command
-has computed what it writes, so a failed run leaves no directory behind; one
-that is or lies under a file exits 2 first.  ``--out`` names the output
-directory, or for ``train`` the model file (its loss curve: ``--loss-csv``).
+Each subcommand computes and renders everything it writes; then :func:`main`,
+the one writer, makes the directories and writes the files, so a failed run
+leaves nothing behind but a ``train`` model file cut short by running out of
+memory while it is streamed.  An output directory that is or lies under a file
+exits 2 first.  ``--out`` names the output directory, or for ``train`` the
+model file (its loss curve: ``--loss-csv``).
 
 Exit codes: 0 success, 2 usage, config or out-of-memory error, 3 numeric failure.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from . import analysis, cfm, svg
 from .cfm import TrainConfig, TrainingError
 from .data import DatasetSpec
-from .numeric import Rng, check_keys, check_version, write_csv
+from .numeric import Rng, check_keys, check_version, csv_text
 from .ode import FIXED_STEP_METHODS, TABLEAUS, IntegrationError, SolverSpec, stability_region_grid
 
 EXIT_OK = 0
@@ -107,18 +109,12 @@ def _resolve_seed(flag, default=None):
 # output helpers
 
 def _check_out_dir(path):
-    """Fail, before any work, on an output directory that cannot be made."""
+    """``path``; fails, before any work, if that directory cannot be made."""
     head = os.path.abspath(path)
     while not os.path.lexists(head):
         head = os.path.dirname(head)
     if not path or not os.path.isdir(head):
         raise ValueError(f"{path!r} cannot be an output directory")
-
-
-def _out(*parts):
-    """Output file ``os.path.join(*parts)``; its directory is made at the first write."""
-    path = os.path.join(*parts)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     return path
 
 
@@ -137,7 +133,8 @@ def _method_series(rows, labels, x, y):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns ({file in --out: its rendered text}, stdout lines);
+# train's files are paths, and its model is written by cfm.save_model
 
 def cmd_convergence(args):
     h_list = [2.0**-e for e in range(3, 11)]
@@ -146,23 +143,20 @@ def cmd_convergence(args):
     tols = [10.0**-e for e in range(3, 11)]
     dopri_rows = analysis.dopri5_tolerance_study(problem, tols)
     all_rows = rows + dopri_rows
-    write_csv(
-        _out(args.out, "convergence.csv"),
-        _header(analysis.ConvergenceRow, global_error="error"),
-        map(astuple, all_rows),
-    )
     labels = {**{m: m for m in FIXED_STEP_METHODS}, "dopri5": "dopri5 (tol on h axis)"}
-    svg.line_chart(
-        _out(args.out, "convergence.svg"),
-        _method_series(all_rows, labels, lambda r: r.h, lambda r: max(r.global_error, 1e-17)),
-        title=f"Global error at t=1, decay problem ({args.dim}D)",
-        xlabel="step size h (tolerance for dopri5)", ylabel="global error",
-        logx=True, logy=True,
-    )
-    for m in FIXED_STEP_METHODS:
-        print(f"{m:<9} slope {slopes[m]:.3f}")
-    print(f"dopri5    error-vs-tolerance slope {analysis.slope_above_floor(dopri_rows):.3f}")
-    return EXIT_OK
+    files = {
+        "convergence.csv": csv_text(_header(analysis.ConvergenceRow, global_error="error"),
+                                    map(astuple, all_rows)),
+        "convergence.svg": svg.line_chart(
+            _method_series(all_rows, labels, lambda r: r.h, lambda r: max(r.global_error, 1e-17)),
+            title=f"Global error at t=1, decay problem ({args.dim}D)",
+            xlabel="step size h (tolerance for dopri5)", ylabel="global error",
+            logx=True, logy=True,
+        ),
+    }
+    lines = [f"{m:<9} slope {slopes[m]:.3f}" for m in FIXED_STEP_METHODS]
+    lines.append(f"dopri5    error-vs-tolerance slope {analysis.slope_above_floor(dopri_rows):.3f}")
+    return files, lines
 
 
 def cmd_stability(args):
@@ -173,25 +167,24 @@ def cmd_stability(args):
     ]
     demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
     traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1)
-    for raster in rasters:
-        raster.write_csv(_out(args.out, f"stability_{raster.method}.csv"))
-        svg.raster_chart(
-            _out(args.out, f"stability_{raster.method}.svg"), raster,
-            title=f"{raster.method}: |R(z)| <= 1",
-        )
-        print(f"{raster.method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
+    files, lines = {}, []
+    while rasters:  # each raster is freed once it is rendered
+        raster = rasters.pop(0)
+        files[f"stability_{raster.method}.csv"] = raster.csv_text()
+        files[f"stability_{raster.method}.svg"] = svg.raster_chart(
+            raster, title=f"{raster.method}: |R(z)| <= 1")
+        lines.append(f"{raster.method:<9} real-axis extent {raster.real_axis_extent():+.3f}")
     demo_rows = [(tr.h, n, y) for tr in traces for n, y in enumerate(tr.y.tolist())]
-    write_csv(_out(args.out, "stability_demo.csv"), ["h", "n", "y"], demo_rows)
-    svg.line_chart(
-        _out(args.out, "stability_demo.svg"),
+    files["stability_demo.csv"] = csv_text(["h", "n", "y"], demo_rows)
+    files["stability_demo.svg"] = svg.line_chart(
         [{"label": f"h={tr.h:.4g}" + (" (diverged)" if tr.diverged else ""),
           "x": list(range(len(tr.y))), "y": list(tr.y)} for tr in traces],
         title="Euler on y' = -15y", xlabel="step n", ylabel="y_n", markers=False,
     )
     for tr in traces:
         state = "diverged" if tr.diverged else "stable"
-        print(f"h={tr.h:.4g}: {state}, |y_final|={abs(tr.y[-1]):.3g}")
-    return EXIT_OK
+        lines.append(f"h={tr.h:.4g}: {state}, |y_final|={abs(tr.y[-1]):.3g}")
+    return files, lines
 
 
 def cmd_train(args):
@@ -205,12 +198,10 @@ def cmd_train(args):
     if os.path.realpath(loss_csv) == os.path.realpath(args.out):
         raise ValueError(f"--loss-csv and --out name the same file {args.out}")
     model = cfm.train(tc)
-    cfm.save_model(model, _out(args.out))
-    write_csv(_out(loss_csv), ["epoch", "loss"], enumerate(model.loss_curve))
-    print(f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}")
-    print(f"model -> {args.out}")
-    print(f"loss curve -> {loss_csv}")
-    return EXIT_OK
+    files = {args.out: lambda path: cfm.save_model(model, path),  # streamed, not rendered
+             loss_csv: csv_text(["epoch", "loss"], enumerate(model.loss_curve))}
+    return files, [f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}",
+                   f"model -> {args.out}", f"loss curve -> {loss_csv}"]
 
 
 def _solver_from_args(args):
@@ -227,16 +218,14 @@ def cmd_sample(args):
     spec = _solver_from_args(args)
     points, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     header = [f"x{i}" for i in range(points.shape[1])]
-    write_csv(_out(args.out, "samples.csv"), header, points.tolist())
-    trace.write_csv(_out(args.out, "trace.csv"))
+    files = {"samples.csv": csv_text(header, points.tolist()), "trace.csv": trace.csv_text()}
     if points.shape[1] == 2:
-        svg.scatter_chart(
-            _out(args.out, "samples.svg"), points, label=f"{spec.method}-{spec.steps_label}",
+        files["samples.svg"] = svg.scatter_chart(
+            points, label=f"{spec.method}-{spec.steps_label}",
             title=f"samples ({spec.method}, {spec.steps_label} steps)",
             xlabel="x0", ylabel="x1",
         )
-    print(f"{args.n} samples via {spec.method} ({spec.steps_label}), NFE {trace.nfe_total}")
-    return EXIT_OK
+    return files, [f"{args.n} samples via {spec.method} ({spec.steps_label}), NFE {trace.nfe_total}"]
 
 
 def _benchmark_one(model, grid, args, rng):
@@ -247,14 +236,15 @@ def _benchmark_one(model, grid, args, rng):
     return rows
 
 
-def _write_pareto(args, name, rows):
-    """``<name>.csv`` and ``<name>.svg`` of one benchmark run in ``--out``."""
-    write_csv(_out(args.out, f"{name}.csv"), _header(analysis.ParetoRow), map(astuple, rows))
-    svg.line_chart(
-        _out(args.out, f"{name}.svg"),
-        _method_series(rows, {m: m for m in TABLEAUS}, lambda r: r.nfe, lambda r: r.swd),
-        title="NFE vs SWD", xlabel="NFE", ylabel="SWD", logx=True, logy=True,
-    )
+def _pareto_files(name, rows):
+    """``<name>.csv`` and ``<name>.svg`` of one benchmark run."""
+    return {
+        f"{name}.csv": csv_text(_header(analysis.ParetoRow), map(astuple, rows)),
+        f"{name}.svg": svg.line_chart(
+            _method_series(rows, {m: m for m in TABLEAUS}, lambda r: r.nfe, lambda r: r.swd),
+            title="NFE vs SWD", xlabel="NFE", ylabel="SWD", logx=True, logy=True,
+        ),
+    }
 
 
 def cmd_benchmark(args):
@@ -271,21 +261,19 @@ def cmd_benchmark(args):
             print(f"training hidden={w} ...")
             model = cfm.train(replace(tc, seed=seed, mlp=replace(tc.mlp, hidden=w)))
             sweep[w] = _benchmark_one(model, grid, args, Rng(seed))
+        files = {}
         for w, rows in sweep.items():
-            _write_pareto(args, f"pareto_hidden{w}", rows)
+            files.update(_pareto_files(f"pareto_hidden{w}", rows))
         ablation = [(w, *astuple(r)) for w, rows in sweep.items() for r in rows]
-        write_csv(_out(args.out, "ablation.csv"), ["hidden", *_header(analysis.ParetoRow)], ablation)
-        print(f"ablation over widths {args.hidden} -> {os.path.join(args.out, 'ablation.csv')}")
-        return EXIT_OK
+        files["ablation.csv"] = csv_text(["hidden", *_header(analysis.ParetoRow)], ablation)
+        return files, [f"ablation over widths {args.hidden} -> {os.path.join(args.out, 'ablation.csv')}"]
     if not args.model:
         raise ValueError("--model is required (or use --hidden with --config)")
     model = cfm.load_model(args.model)
     seed = _resolve_seed(args.seed, model.config.seed)
     rows = _benchmark_one(model, grid, args, Rng(seed))
-    _write_pareto(args, "pareto", rows)
-    for r in rows:
-        print(f"{r.method:<9} steps={r.steps:<9} nfe={r.nfe:<6} swd={r.swd:.5f}")
-    return EXIT_OK
+    return _pareto_files("pareto", rows), [
+        f"{r.method:<9} steps={r.steps:<9} nfe={r.nfe:<6} swd={r.swd:.5f}" for r in rows]
 
 
 def cmd_jacobian(args):
@@ -294,7 +282,6 @@ def cmd_jacobian(args):
     rng = Rng(_resolve_seed(args.seed))
     grid = list(np.linspace(0.0, 1.0, args.time_points))
     rows = analysis.spectrum_along_trajectory(model, args.n_samples, grid, spec, rng)
-    write_csv(_out(args.out, "spectrum.csv"), _header(analysis.SpectrumRow), map(astuple, rows))
     ts = [r.t for r in rows]
     series = []
     # per eigenvalue: the mean line and the two edges of its +-1 std band
@@ -306,14 +293,13 @@ def cmd_jacobian(args):
             {"label": f"{eig} +-1 std", "x": ts, "y": [m + s for m, s in zip(mean, std)], "color": band},
             {"label": "", "x": ts, "y": [m - s for m, s in zip(mean, std)], "color": band},
         ]
-    svg.line_chart(
-        _out(args.out, "spectrum.svg"), series,
-        title="Jacobian eigenvalues along the flow", xlabel="t", ylabel="Re(eig)",
-    )
-    for r in rows:
-        print(f"t={r.t:.2f}  re(eig1)={r.eig1_re_mean:+.3f}  re(eig2)={r.eig2_re_mean:+.3f}  "
-              f"cond_median={r.cond_median:.3g}")
-    return EXIT_OK
+    files = {
+        "spectrum.csv": csv_text(_header(analysis.SpectrumRow), map(astuple, rows)),
+        "spectrum.svg": svg.line_chart(
+            series, title="Jacobian eigenvalues along the flow", xlabel="t", ylabel="Re(eig)"),
+    }
+    return files, [f"t={r.t:.2f}  re(eig1)={r.eig1_re_mean:+.3f}  re(eig2)={r.eig2_re_mean:+.3f}  "
+                   f"cond_median={r.cond_median:.3g}" for r in rows]
 
 
 def cmd_dopri_trace(args):
@@ -321,27 +307,28 @@ def cmd_dopri_trace(args):
     spec = SolverSpec("dopri5", atol=args.atol, rtol=args.rtol)
     _, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
-    trace.write_csv(_out(args.out, "dopri_trace.csv"))
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
     if args.atol == args.rtol:
         tolerances = f"atol=rtol={args.atol:g}"
     else:
         tolerances = f"atol={args.atol:g}, rtol={args.rtol:g}"
-    svg.line_chart(
-        _out(args.out, "dopri_steps.svg"),
-        [
-            {"label": "accepted h", "x": [t for t, _ in summary.accepted],
-             "y": [h for _, h in summary.accepted]},
-            {"label": "bin mean", "x": list(centers), "y": list(summary.mean_h)},
-        ],
-        title=f"DOPRI5 step sizes ({tolerances})", xlabel="t", ylabel="h",
-    )
-    print(f"accepted {len(summary.accepted)}, rejected {trace.n_rejected}, NFE {trace.nfe_total}")
+    files = {
+        "dopri_trace.csv": trace.csv_text(),
+        "dopri_steps.svg": svg.line_chart(
+            [
+                {"label": "accepted h", "x": [t for t, _ in summary.accepted],
+                 "y": [h for _, h in summary.accepted]},
+                {"label": "bin mean", "x": list(centers), "y": list(summary.mean_h)},
+            ],
+            title=f"DOPRI5 step sizes ({tolerances})", xlabel="t", ylabel="h",
+        ),
+    }
+    lines = [f"accepted {len(summary.accepted)}, rejected {trace.n_rejected}, NFE {trace.nfe_total}"]
     for lo, hi, c, mh in zip(summary.bin_edges[:-1], summary.bin_edges[1:],
                              summary.counts, summary.mean_h):
         mh_str = f"{mh:.4g}" if np.isfinite(mh) else "-"
-        print(f"t in [{lo:.2f},{hi:.2f}): {c:>3} steps, mean h {mh_str}")
-    return EXIT_OK
+        lines.append(f"t in [{lo:.2f},{hi:.2f}): {c:>3} steps, mean h {mh_str}")
+    return files, lines
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +427,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "train":  # the one subcommand whose --out is a file
-            _check_out_dir(args.out)
-        return args.func(args)
+        # train's --out is its model file, which cmd_train checks; any other, a directory
+        out_dir = "" if args.command == "train" else _check_out_dir(args.out)
+        files, lines = args.func(args)
+        # the one place that writes: every file is rendered before the first is made
+        for name, text in files.items():
+            path = os.path.join(out_dir, name)
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            if callable(text):
+                text(path)
+            else:
+                with open(path, "w", newline="") as fh:
+                    fh.write(text)
+        print(*lines, sep="\n")
+        return EXIT_OK
     except (IntegrationError, TrainingError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

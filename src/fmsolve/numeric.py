@@ -12,6 +12,7 @@ from uniforms to normals.
 """
 
 import csv
+import io
 import math
 import numbers
 import sys
@@ -25,7 +26,7 @@ __all__ = [
     "gaussian_sample",
     "eig2x2",
     "cond2x2",
-    "write_csv",
+    "csv_text",
     "check_field_types",
     "check_keys",
     "check_version",
@@ -138,16 +139,17 @@ def cond2x2(m):
     return cond
 
 
-def write_csv(path, header, rows):
-    """Write a header row and data rows as CSV; the one writer of every CSV.
+def csv_text(header, rows):
+    """A header row and data rows as CSV text; the one renderer of every CSV.
 
     Floats are written as the repr of a plain float, which round-trips
     exactly; None is an empty cell; other values go through str.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in [header, *rows]:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    for row in [header, *rows]:
+        w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 # What the int and float annotations accept, so numpy scalars count too.

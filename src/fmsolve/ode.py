@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import check_field_types, write_csv
+from .numeric import check_field_types, csv_text
 
 __all__ = [
     "VectorField",
@@ -300,12 +300,12 @@ class SolveTrace:
     def n_rejected(self):
         return sum(1 for s in self.steps if not s.accepted)
 
-    def write_csv(self, path):
-        """Write the trace as CSV with columns t,h,err,accepted,nfe_cum."""
+    def csv_text(self):
+        """The trace as CSV text with columns t,h,err,accepted,nfe_cum."""
         # float(): a run started at an integer t0 still writes 0.0
         rows = [(float(s.t), float(s.h), None if s.err is None else float(s.err),
                  int(s.accepted), s.nfe_cum) for s in self.steps]
-        write_csv(path, ["t", "h", "err", "accepted", "nfe_cum"], rows)
+        return csv_text(["t", "h", "err", "accepted", "nfe_cum"], rows)
 
 
 def integrate_fixed(f, y0, t0, t1, n_steps, method):
@@ -549,10 +549,10 @@ class StabilityRaster:
             return float("nan")
         return float(self.re[cols[0]])
 
-    def write_csv(self, path):
+    def csv_text(self):
         """CSV grid of |R|: header row carries the re axis, first column the im axis."""
-        rows = ([imv] + mags for imv, mags in zip(self.im.tolist(), self.magnitude.tolist()))
-        write_csv(path, ["im\\re"] + self.re.tolist(), rows)
+        rows = ([imv] + mags.tolist() for imv, mags in zip(self.im.tolist(), self.magnitude))
+        return csv_text(["im\\re"] + self.re.tolist(), rows)
 
 
 def stability_region_grid(method, re_range, im_range, resolution):

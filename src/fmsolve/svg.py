@@ -1,6 +1,7 @@
 """Minimal hand-written SVG charts: scatter, polylines, rasters.
 
-No plotting dependency; the output is plain markup that stays inspectable
+Each chart function returns its document as text and writes no file.  No
+plotting dependency; the output is plain markup that stays inspectable
 and diffs cleanly.  Only what the report figures need: linear and log
 axes, decade or 1-2-5 ticks, a small legend, fixed palette.
 """
@@ -101,8 +102,8 @@ class _Chart:
     """A framed plot: two scales, the marks drawn through them, a legend.
 
     ``x`` and ``y`` map data to pixels; chart functions append their marks
-    to ``marks`` and (label, color) pairs to ``legend``, then :meth:`write`
-    renders frame, ticks, titles, marks and legend as one document.
+    to ``marks`` and (label, color) pairs to ``legend``, then :meth:`render`
+    returns frame, ticks, titles, marks and legend as one document.
     """
 
     def __init__(self, size, xlim, ylim, logx=False, logy=False):
@@ -121,7 +122,7 @@ class _Chart:
         self.marks = []
         self.legend = []
 
-    def write(self, path, title="", xlabel="", ylabel=""):
+    def render(self, title="", xlabel="", ylabel=""):
         left, right, bottom, top = self.x.p0, self.x.p1, self.y.p0, self.y.p1
         el = [
             f'<rect width="{self.w}" height="{self.h}" fill="white"/>',
@@ -145,12 +146,11 @@ class _Chart:
             y, x = top + 14 + 14 * i, right - 130
             el.append(f'<line x1="{x}" y1="{y - 3}" x2="{x + 18}" y2="{y - 3}" stroke="{color}" stroke-width="2"/>')
             el.append(f'<text x="{x + 24}" y="{y}" font-size="10">{_esc(label)}</text>')
-        with open(path, "w") as fh:
-            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
-                     f'viewBox="0 0 {self.w} {self.h}">\n' + "\n".join(el) + "\n</svg>\n")
+        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.w}" height="{self.h}" '
+                f'viewBox="0 0 {self.w} {self.h}">\n' + "\n".join(el) + "\n</svg>\n")
 
 
-def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=False,
+def line_chart(series, title="", xlabel="", ylabel="", logx=False, logy=False,
                markers=True):
     """Polyline chart.  ``series`` is a list of dicts {label, x, y[, color]}.
 
@@ -174,10 +174,10 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
             chart.marks += [f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.5" fill="{color}"/>' for px, py in pts]
         if s.get("label"):
             chart.legend.append((s["label"], color))
-    chart.write(path, title, xlabel, ylabel)
+    return chart.render(title, xlabel, ylabel)
 
 
-def scatter_chart(path, points, label="", title="", xlabel="", ylabel=""):
+def scatter_chart(points, label="", title="", xlabel="", ylabel=""):
     """Scatter plot of one (n x 2) point set, with ``label`` as its legend entry."""
     xs, ys = np.asarray(points, dtype=float).T.tolist()
     padx = 0.05 * (max(xs) - min(xs) or 1.0)
@@ -189,10 +189,10 @@ def scatter_chart(path, points, label="", title="", xlabel="", ylabel=""):
         for x, y in zip(xs, ys)
     ]
     chart.legend = [(label, color)] if label else []
-    chart.write(path, title, xlabel, ylabel)
+    return chart.render(title, xlabel, ylabel)
 
 
-def raster_chart(path, raster, title=""):
+def raster_chart(raster, title=""):
     """Filled stability region: cells with |R| <= 1, drawn as merged row runs."""
     re, im, inside = raster.re, raster.im, raster.inside
     dx = (re[1] - re[0]) if len(re) > 1 else 1.0
@@ -218,4 +218,4 @@ def raster_chart(path, raster, title=""):
         chart.marks.append(f'<line x1="{chart.x(0):.1f}" y1="{chart.y.p1}" x2="{chart.x(0):.1f}" y2="{chart.y.p0}" stroke="#999" stroke-dasharray="3,3"/>')
     if im[0] < 0 < im[-1]:
         chart.marks.append(f'<line x1="{chart.x.p0}" y1="{chart.y(0):.1f}" x2="{chart.x.p1}" y2="{chart.y(0):.1f}" stroke="#999" stroke-dasharray="3,3"/>')
-    chart.write(path, title, "Re(z)", "Im(z)")
+    return chart.render(title, "Re(z)", "Im(z)")

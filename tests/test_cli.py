@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_cfm import edited_model_texts
 
-from fmsolve import cli, ode
+from fmsolve import cli, ode, svg
 
 TINY_CONFIG = {
     "format_version": 1,
@@ -896,6 +896,65 @@ class TestInputsTooLargeForMemory:
         assert time.perf_counter() - start < 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not model.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("render failed")
+
+
+# the last render step of each subcommand: the chart of its last figure,
+# or train's loss curve
+LAST_RENDER_STEP = {
+    "convergence": (svg, "line_chart"),
+    "stability": (svg, "line_chart"),
+    "sample": (svg, "scatter_chart"),
+    "benchmark": (svg, "line_chart"),
+    "benchmark-hidden": (svg, "line_chart"),
+    "jacobian": (svg, "line_chart"),
+    "dopri-trace": (svg, "line_chart"),
+    "train": (cli, "csv_text"),
+}
+
+
+class TestFailedRenderLeavesNothing:
+    @pytest.mark.parametrize("command", LAST_RENDER_STEP)
+    def test_exit_2_and_no_file(self, command, trained, monkeypatch, capsys):
+        # every output is rendered before the first one is written, so a
+        # failure in the last render leaves neither a file nor a directory
+        workspace, model = trained
+        out = workspace / "new"
+        if command == "train":
+            argv = ["train", "--config", str(workspace / "cfg.json"), "--out", str(out / "m.json")]
+        else:
+            argv = [*DIRECTORY_COMMANDS[command](workspace, model), "--out", str(out)]
+        monkeypatch.setattr(*LAST_RENDER_STEP[command], _out_of_memory)
+        before = set(workspace.rglob("*"))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: input too large for memory: ")
+        assert set(workspace.rglob("*")) == before
+
+    def test_train_model_file_is_the_exception(self, trained, monkeypatch, capsys):
+        # train's model file is streamed at the write step, not rendered before
+        # it, so running out of memory part way leaves that file cut short
+        workspace, _ = trained
+        out = workspace / "new"
+
+        def save_part(model, path):
+            with open(path, "w") as fh:
+                fh.write('{"config": ')
+            raise MemoryError("save failed")
+
+        monkeypatch.setattr(cli.cfm, "save_model", save_part)
+        before = set(workspace.rglob("*"))
+        capsys.readouterr()
+        argv = ["train", "--config", str(workspace / "cfg.json"), "--out", str(out / "m.json")]
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: input too large for memory: save failed"]
+        assert set(workspace.rglob("*")) - before == {out, out / "m.json"}
+        assert (out / "m.json").read_text() == '{"config": '
 
 
 FAR_PARAMETER_COMMANDS = {

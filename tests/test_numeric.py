@@ -4,7 +4,7 @@ import pytest
 from fmsolve.cfm import TrainConfig
 from fmsolve.data import DatasetSpec
 from fmsolve.nn import MlpConfig
-from fmsolve.numeric import Rng, cond2x2, eig2x2, gaussian_sample, write_csv
+from fmsolve.numeric import Rng, cond2x2, csv_text, eig2x2, gaussian_sample
 from fmsolve.ode import SolverSpec
 
 
@@ -160,13 +160,11 @@ class TestFieldTypes:
 
 
 class TestWriteCsv:
-    def test_exact_bytes(self, tmp_path):
+    def test_exact_bytes(self):
         # integer-valued and tiny floats still come out as full float reprs,
         # numpy floats as plain ones, ints via str and None as an empty cell
-        path = tmp_path / "rows.csv"
         rows = [[0.5, -1.0, 0], [2.0, 3e-20, 0], [1 / 3, np.float64(0.1), 1], [None, 4.0, 2]]
-        write_csv(path, ["x0", "x1", "label"], rows)
-        assert path.read_bytes() == (
+        assert csv_text(["x0", "x1", "label"], rows).encode() == (
             b"x0,x1,label\r\n0.5,-1.0,0\r\n2.0,3e-20,0\r\n0.3333333333333333,0.1,1\r\n"
             b",4.0,2\r\n"
         )

@@ -525,19 +525,17 @@ class TestDopri5:
 class TestTraceCsv:
     HEADER = b"t,h,err,accepted,nfe_cum\r\n"
 
-    def test_adaptive_trace_bytes(self, tmp_path):
+    def test_adaptive_trace_bytes(self):
         # an integer t0 still writes its first start time as a float
         cfg = SolverSpec("dopri5", atol=1e-3, rtol=1e-3, h_init=0.5)
         _, trace = integrate_dopri5(decay_field(), ONE, 0, 1, cfg)
-        trace.write_csv(tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == self.HEADER + (
+        assert trace.csv_text().encode() == self.HEADER + (
             b"0.0,0.5,0.015332031250000697,1,7\r\n0.5,0.5,0.01157699955725824,1,13\r\n"
         )
 
-    def test_fixed_step_trace_has_empty_err(self, tmp_path):
+    def test_fixed_step_trace_has_empty_err(self):
         _, trace = integrate_fixed(decay_field(), ONE, 0, 1, 2, "midpoint")
-        trace.write_csv(tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == self.HEADER + (
+        assert trace.csv_text().encode() == self.HEADER + (
             b"0.0,0.5,,1,2\r\n0.5,0.5,,1,4\r\n"
         )
 
@@ -614,22 +612,18 @@ class TestStability:
         assert np.isinf(far).all() and not r.inside[:, [0, 1, 3, 4]].any()
         assert r.inside[2, 2]  # z = 0
 
-    def test_raster_csv_exact_bytes(self, tmp_path):
+    def test_raster_csv_exact_bytes(self):
         r = stability_region_grid("euler", (-2, 0), (-1, 1), 3)
-        path = tmp_path / "grid.csv"
-        r.write_csv(path)
-        assert path.read_bytes() == (
+        assert r.csv_text().encode() == (
             b"im\\re,-2.0,-1.0,0.0\r\n"
             b"-1.0,1.4142135623730951,1.0,1.4142135623730951\r\n"
             b"0.0,1.0,0.0,1.0\r\n"
             b"1.0,1.4142135623730951,1.0,1.4142135623730951\r\n"
         )
 
-    def test_raster_csv_round_trip(self, tmp_path):
+    def test_raster_csv_round_trip(self):
         r = stability_region_grid("euler", (-3, 1), (-2, 2), 9)
-        path = tmp_path / "grid.csv"
-        r.write_csv(path)
-        lines = path.read_text().strip().splitlines()
+        lines = r.csv_text().strip().splitlines()
         assert lines[0].startswith("im\\re,")
         assert len(lines) == 10
         first_data = lines[1].split(",")

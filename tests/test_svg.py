@@ -1,11 +1,12 @@
 """Byte pins for the SVG charts.
 
 Each case draws a chart from literal inputs and compares the SHA-256 of
-the written file with a literal, so any change to the markup (coordinates,
-ticks, legend, element order) shows up here.  Literal inputs keep the
-digests independent of the BLAS build.
+the returned document with a literal, so any change to the markup
+(coordinates, ticks, legend, element order) shows up here.  Literal inputs
+keep the digests independent of the BLAS build.
 """
 
+import builtins
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -14,15 +15,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fmsolve import svg
+from fmsolve import ode, svg
+from fmsolve.numeric import csv_text
 
 NAN = float("nan")
 
 
-def _line_log_dropped(path):
+def _line_log_dropped():
     # nonpositive and NaN values on log axes are dropped from limits and marks
-    svg.line_chart(
-        path,
+    return svg.line_chart(
         [
             {"label": "a", "x": [0.0, 1e-3, 1e-2, 0.1, 1.0], "y": [1e-3, 1e-6, NAN, 1e-4, 1e-2]},
             {"label": "b", "x": [-1.0, 2e-3, 2e-2, NAN], "y": [-2.0, 3e-5, -1e-3, NAN]},
@@ -31,26 +32,25 @@ def _line_log_dropped(path):
     )
 
 
-def _line_log_within_decade(path):
+def _line_log_within_decade():
     # no decade inside the y range: linear ticks 2, 3, 4, 5 placed on the log scale
-    svg.line_chart(path, [{"label": "s", "x": [1, 10, 100], "y": [2.0, 3.0, 5.0]}],
-                   logx=True, logy=True)
+    return svg.line_chart([{"label": "s", "x": [1, 10, 100], "y": [2.0, 3.0, 5.0]}],
+                          logx=True, logy=True)
 
 
-def _line_all_filtered(path):
+def _line_all_filtered():
     # nothing survives the log filter: default limits, legend entry kept
-    svg.line_chart(path, [{"label": "gone", "x": [0.0, -1.0], "y": [NAN, 0.0]}],
-                   title="empty", logx=True, logy=True)
+    return svg.line_chart([{"label": "gone", "x": [0.0, -1.0], "y": [NAN, 0.0]}],
+                          title="empty", logx=True, logy=True)
 
 
-def _line_one_point(path):
+def _line_one_point():
     # a single point has no polyline and a zero-width range on both axes
-    svg.line_chart(path, [{"label": "only", "x": [2.0], "y": [-3.0]}], xlabel="x", ylabel="y")
+    return svg.line_chart([{"label": "only", "x": [2.0], "y": [-3.0]}], xlabel="x", ylabel="y")
 
 
-def _line_no_markers_color_empty_label(path):
-    svg.line_chart(
-        path,
+def _line_no_markers_color_empty_label():
+    return svg.line_chart(
         [
             {"label": "mean", "x": [0, 1, 2, 3], "y": [0.5, -1.25, 2.0, 0.0]},
             {"label": "", "x": [0, 1, 2, 3], "y": [1.5, 0.25, 3.0, 1.0], "color": "#aec7e8"},
@@ -61,13 +61,13 @@ def _line_no_markers_color_empty_label(path):
     )
 
 
-def _scatter_zero_width(path):
+def _scatter_zero_width():
     # every point on one vertical line: the x padding falls back to 0.05
     points = np.array([[1.0, -2.0], [1.0, 0.5], [1.0, 3.25], [1.0, 1.0]])
-    svg.scatter_chart(path, points, label="euler-10", title="samples", xlabel="x0", ylabel="x1")
+    return svg.scatter_chart(points, label="euler-10", title="samples", xlabel="x0", ylabel="x1")
 
 
-def _raster_edge_runs(path):
+def _raster_edge_runs():
     # runs touching the left and right edges, an all-outside row and a full row;
     # the axis limits sit on the outer cell edges, so every run stays in the frame
     inside = np.array([
@@ -78,7 +78,7 @@ def _raster_edge_runs(path):
     ])
     raster = SimpleNamespace(re=np.linspace(-2.0, 1.0, 6), im=np.linspace(-1.5, 1.5, 4),
                              inside=inside)
-    svg.raster_chart(path, raster, title="rk4: |R(z)| <= 1")
+    return svg.raster_chart(raster, title="rk4: |R(z)| <= 1")
 
 
 CASES = {
@@ -114,11 +114,9 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_chart_bytes(case, tmp_path):
+def test_chart_bytes(case):
     draw, digest = CASES[case]
-    path = tmp_path / "chart.svg"
-    draw(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(draw().encode()).hexdigest() == digest
 
 
 FLOAT_MAX = np.finfo(float).max
@@ -139,10 +137,8 @@ EXTREME_POINTS = {
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", EXTREME_POINTS)
-def test_scatter_renders_finite_points_anywhere(case, tmp_path):
-    path = tmp_path / "chart.svg"
-    svg.scatter_chart(path, np.array(EXTREME_POINTS[case]), label="p")
-    root = ET.parse(path).getroot()
+def test_scatter_renders_finite_points_anywhere(case):
+    root = ET.fromstring(svg.scatter_chart(np.array(EXTREME_POINTS[case]), label="p"))
     circles = root.findall("{http://www.w3.org/2000/svg}circle")
     assert len(circles) == len(EXTREME_POINTS[case])
     for c in circles:  # inside the 520 x 520 frame
@@ -159,11 +155,23 @@ NARROW_RANGES = {
 
 
 @pytest.mark.parametrize("case", NARROW_RANGES)
-def test_linear_tick_labels_are_distinct(case, tmp_path):
+def test_linear_tick_labels_are_distinct(case):
     (x0, x1), (y0, y1) = NARROW_RANGES[case]
-    path = tmp_path / "chart.svg"
-    svg.scatter_chart(path, np.array([[x0, y0], [x1, y1]]), label="p")
-    texts = ET.parse(path).getroot().findall("{http://www.w3.org/2000/svg}text")
+    root = ET.fromstring(svg.scatter_chart(np.array([[x0, y0], [x1, y1]]), label="p"))
+    texts = root.findall("{http://www.w3.org/2000/svg}text")
     for anchor in ("middle", "end"):  # x ticks, then y ticks
         labels = [t.text for t in texts if t.get("font-size") == "10" and t.get("text-anchor") == anchor]
         assert len(labels) >= 3 and len(set(labels)) == len(labels), labels
+
+
+def test_renderers_open_no_file(monkeypatch):
+    # every chart, CSV and trace renderer returns its text and touches no file
+    def no_open(*args, **kwargs):
+        raise AssertionError("a renderer opened a file")
+
+    monkeypatch.setattr(builtins, "open", no_open)
+    _, trace = ode.integrate_fixed(ode.VectorField(lambda t, y: -y), np.ones(1), 0.0, 1.0, 2, "euler")
+    texts = [draw() for draw, _ in CASES.values()]
+    texts += [csv_text(["x"], [[1.0]]), trace.csv_text(),
+              ode.stability_region_grid("euler", (-2, 0), (-1, 1), 3).csv_text()]
+    assert all(isinstance(t, str) and t for t in texts)
