@@ -38,6 +38,7 @@ __all__ = [
     "train",
     "sample",
     "velocity_field",
+    "model_text",
     "save_model",
     "load_model",
     "MODEL_FORMAT_VERSION",
@@ -185,13 +186,8 @@ def train(config):
                 )
             total += loss * len(x_t)
         loss_curve.append(total / n)
-    return TrainedModel(
-        params=params,
-        config=config,
-        data_mean=mean,
-        data_std=std,
-        loss_curve=loss_curve,
-    )
+    return TrainedModel(params=params, config=config, data_mean=mean, data_std=std,
+                        loss_curve=loss_curve)
 
 
 def velocity_field(params):
@@ -224,13 +220,13 @@ def sample(model, solver, n, rng):
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_model(model, path):
-    """Write the model bundle as JSON.
+def model_text(model):
+    """The model file's text in pieces, which join to one ``json.dumps`` of
+    {format_version, config, seed, params, training_meta} with keys sorted.
 
-    Layout: {format_version, config, seed, params, training_meta}, keys sorted;
-    floats are serialized with repr round-tripping, so reloading is bit-exact.
-    The parameter tensors are encoded one at a time into the place the rest of
-    the document leaves for them, so at most one of them is a Python list.
+    Floats are serialized with repr round-tripping, so reloading is bit-exact.
+    The tensors are encoded one matrix row at a time into the place the rest
+    of the document leaves for them, so at most one row is a Python list.
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -246,12 +242,19 @@ def save_model(model, path):
         },
     }
     head, _, tail = json.dumps(doc, sort_keys=True).partition('"params": {}')
-    tensors = sorted(model.params.named(), key=lambda item: item[0])
+    yield head + '"params": {'
+    for i, (name, arr) in enumerate(sorted(model.params.named())):
+        yield f"{', ' if i else ''}{json.dumps(name)}: ["
+        for j, row in enumerate(arr):
+            yield f"{', ' if j else ''}{json.dumps(row.tolist())}"
+        yield "]"
+    yield "}" + tail + "\n"
+
+
+def save_model(model, path):
+    """Write the model bundle as JSON, each piece of :func:`model_text` as it is made."""
     with open(path, "w") as fh:
-        fh.write(head + '"params": {')
-        for i, (name, arr) in enumerate(tensors):
-            fh.write(f"{', ' if i else ''}{json.dumps(name)}: {json.dumps(arr.tolist())}")
-        fh.write("}" + tail + "\n")
+        fh.writelines(model_text(model))
 
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # what JSON allows between tokens

@@ -7,11 +7,10 @@ deterministic given its config and seed; the FMSOLVE_SEED environment
 variable overrides the seed everywhere.
 
 Each subcommand computes and renders everything it writes; then :func:`main`,
-the one writer, makes the directories and writes the files, so a failed run
-leaves nothing behind but a ``train`` model file cut short by running out of
-memory while it is streamed.  An output directory that is or lies under a file
-exits 2 first.  ``--out`` names the output directory, or for ``train`` the
-model file (its loss curve: ``--loss-csv``).
+the one writer, makes the directories and writes the files, so only an
+``OSError`` during those writes can leave files behind.  An output directory
+that is or lies under a file exits 2 first.  ``--out`` names the output
+directory, or for ``train`` the model file (its loss curve: ``--loss-csv``).
 
 Exit codes: 0 success, 2 usage, config or out-of-memory error, 3 numeric failure.
 """
@@ -134,7 +133,7 @@ def _method_series(rows, labels, x, y):
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns ({file in --out: its rendered text}, stdout lines);
-# train's files are paths, and its model is written by cfm.save_model
+# train's files are paths, and its model file's text is a list of pieces
 
 def cmd_convergence(args):
     h_list = [2.0**-e for e in range(3, 11)]
@@ -198,7 +197,7 @@ def cmd_train(args):
     if os.path.realpath(loss_csv) == os.path.realpath(args.out):
         raise ValueError(f"--loss-csv and --out name the same file {args.out}")
     model = cfm.train(tc)
-    files = {args.out: lambda path: cfm.save_model(model, path),  # streamed, not rendered
+    files = {args.out: list(cfm.model_text(model)),
              loss_csv: csv_text(["epoch", "loss"], enumerate(model.loss_curve))}
     return files, [f"trained {tc.epochs} epochs, final loss {model.final_loss:.6f}",
                    f"model -> {args.out}", f"loss curve -> {loss_csv}"]
@@ -434,11 +433,8 @@ def main(argv=None):
         for name, text in files.items():
             path = os.path.join(out_dir, name)
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            if callable(text):
-                text(path)
-            else:
-                with open(path, "w", newline="") as fh:
-                    fh.write(text)
+            with open(path, "w", newline="") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
         print(*lines, sep="\n")
         return EXIT_OK
     except (IntegrationError, TrainingError) as exc:

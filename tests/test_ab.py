@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -27,6 +29,16 @@ def test_summary_counts_wins_and_flags_each_bound():
     assert m["ratio"] == 1.3 and m["worse_than_bound"] and not m["spread_past_bound"]
     wide = ab.summarize([(_result(p), _result(p)) for p in (1.0, 2.0, 3.0)], WALL)
     assert wide["ratio"] == 1.0 and wide["spread_past_bound"] and not wide["worse_than_bound"]
+    assert not m["gain"] and not wide["gain"]
+    # the claim rule: at least 9 wins in 10 pairs, and the medians apart by
+    # more than the parent's IQR, here 0.045 of a median of 1.045
+    parent = [1.0 + 0.01 * i for i in range(10)]
+    faster = [p - 0.1 for p in parent[:9]] + parent[9:]  # the tenth pair is a tie
+    fast = ab.summarize([(_result(p), _result(c)) for p, c in zip(parent, faster)], WALL)
+    assert fast["wins"] == 9 and fast["parent_iqr"] == pytest.approx(0.045) and fast["gain"]
+    # every pair won, but by less than the parent's IQR
+    close = ab.summarize([(_result(p), _result(p - 0.04)) for p in parent], WALL)
+    assert close["wins"] == 10 and not close["gain"]
 
 
 def test_smoke_pair_writes_the_bench_file(tmp_path):

@@ -187,6 +187,7 @@ def test_criterion_08_gradient_check(report):
     report(8, "backprop matches central finite differences", ok, f"max rel err {worst:.2e}")
 
 
+@pytest.mark.headline
 def test_criterion_09_pareto_ordering(trained_models, report):
     models, durations = trained_models
     swds = {"rk4_20": [], "euler_20": [], "euler_200": []}
@@ -211,6 +212,7 @@ def test_criterion_09_pareto_ordering(trained_models, report):
            f"euler-200 {med['euler_200']:.4f}, train {max(durations):.0f}s max")
 
 
+@pytest.mark.headline
 def test_criterion_10_stiffening_near_t1(trained_models, report):
     models, _ = trained_models
     grid = list(np.linspace(0.0, 1.0, 11))
@@ -229,6 +231,7 @@ def test_criterion_10_stiffening_near_t1(trained_models, report):
            "; ".join(f"seed{j}: {a:.2f}->{b:.2f}" for j, (a, b) in enumerate(conds)))
 
 
+@pytest.mark.headline
 def test_criterion_11_adaptive_step_allocation(trained_models, report):
     models, _ = trained_models
     wins = 0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_cfm import edited_model_texts
 
-from fmsolve import cli, ode, svg
+from fmsolve import cfm, cli, ode, svg
 
 TINY_CONFIG = {
     "format_version": 1,
@@ -97,6 +97,23 @@ class TestTrainCmd:
         assert cli.main(["train", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (workspace / "a.loss.csv").read_bytes() == (workspace / "b.loss.csv").read_bytes()
+
+    def test_model_file_is_the_bytes_of_save_model(self, workspace, monkeypatch):
+        # one encoder, cfm.model_text, behind both writers of a model file
+        models, train = [], cfm.train
+        monkeypatch.setattr(cfm, "train", lambda tc: models.append(train(tc)) or models[0])
+        cli_file, lib_file = workspace / "cli.json", workspace / "lib.json"
+        cfg = str(workspace / "cfg.json")
+        assert cli.main(["train", "--config", cfg, "--out", str(cli_file)]) == 0
+        (model,) = models
+        cfm.save_model(model, lib_file)
+        assert cli_file.read_bytes() == lib_file.read_bytes()
+        for path in (cli_file, lib_file):
+            loaded = cfm.load_model(path)
+            assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+            assert loaded.data_mean.tobytes() == model.data_mean.tobytes()
+            assert loaded.data_std.tobytes() == model.data_std.tobytes()
+            assert (loaded.loss_curve, loaded.config) == (model.loss_curve, model.config)
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         bad = dict(TINY_CONFIG)
@@ -935,26 +952,28 @@ class TestFailedRenderLeavesNothing:
         assert len(lines) == 1 and lines[0].startswith("error: input too large for memory: ")
         assert set(workspace.rglob("*")) == before
 
-    def test_train_model_file_is_the_exception(self, trained, monkeypatch, capsys):
-        # train's model file is streamed at the write step, not rendered before
-        # it, so running out of memory part way leaves that file cut short
+    def test_train_model_encoding_fails_with_nothing_written(self, trained, monkeypatch, capsys):
+        # the third json.dumps is the first tensor's first row, after the
+        # document around the tensors is encoded; a model file written while
+        # it is encoded would be left cut short in its new directory
         workspace, _ = trained
         out = workspace / "new"
+        dumps, calls = cli.cfm.json.dumps, []
 
-        def save_part(model, path):
-            with open(path, "w") as fh:
-                fh.write('{"config": ')
-            raise MemoryError("save failed")
+        def dumps_until_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError("encode failed")
+            return dumps(*args, **kwargs)
 
-        monkeypatch.setattr(cli.cfm, "save_model", save_part)
+        monkeypatch.setattr(cli.cfm.json, "dumps", dumps_until_third)
         before = set(workspace.rglob("*"))
         capsys.readouterr()
         argv = ["train", "--config", str(workspace / "cfg.json"), "--out", str(out / "m.json")]
         assert cli.main(argv) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == ["error: input too large for memory: save failed"]
-        assert set(workspace.rglob("*")) - before == {out, out / "m.json"}
-        assert (out / "m.json").read_text() == '{"config": '
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: input too large for memory: encode failed"]
+        assert set(workspace.rglob("*")) == before
 
 
 FAR_PARAMETER_COMMANDS = {

@@ -18,7 +18,10 @@ the change won and the attempted and failed operation counts.  A metric is
 flagged ``worse_than_bound`` when the change's median is worse than the
 parent's by more than its BENCHMARK.json bound, and ``spread_past_bound``
 when either side's IQR exceeds that bound relative to its median, so the
-pairs cannot tell a change of that size.
+pairs cannot tell a change of that size.  ``gain`` is true when the change
+wins at least 9 pairs in 10 (ties count for neither side) and its median is
+better than the parent's by more than the parent's IQR: only then does the
+file show a gain on that metric.
 """
 
 import argparse
@@ -107,14 +110,16 @@ def summarize(pairs, metric):
     ratio = cm / pm
     sign = 1 if better == "lower" else -1
     spread = max(_iqr(parent) / pm, _iqr(change) / cm)
+    wins = sum(sign * (c - p) < 0 for p, c in both)
     return {
         "unit": metric["unit"], "better": better, "bound": bound, "pairs": len(both),
         "parent_median": pm, "parent_iqr": _iqr(parent),
         "change_median": cm, "change_iqr": _iqr(change),
         "ratio": ratio,
-        "wins": sum(sign * (c - p) < 0 for p, c in both),
+        "wins": wins,
         "worse_than_bound": sign * (ratio - 1) > bound,
         "spread_past_bound": spread > bound,
+        "gain": 10 * wins >= 9 * len(both) and sign * (pm - cm) > _iqr(parent),
         "parent_values": parent, "change_values": change,
     }
 
@@ -167,7 +172,7 @@ def main(argv=None):
     for w, entry in record["workloads"].items():
         for name, m in entry["metrics"].items():
             if m["pairs"]:
-                flags = [f for f in ("worse_than_bound", "spread_past_bound") if m[f]]
+                flags = [f for f in ("worse_than_bound", "spread_past_bound", "gain") if m[f]]
                 print(f"{w:<11} {name:<12} parent {m['parent_median']:.4g} change "
                       f"{m['change_median']:.4g} ratio {m['ratio']:.3f} wins {m['wins']}/"
                       f"{m['pairs']} " + " ".join(flags))
