@@ -271,9 +271,8 @@ def _read_document(path):
     whole text nor more than one tensor's lists are held at once.  A
     repeated key keeps its first position and its last value, as in
     json.load.  A document the walk does not expect (a top level that is no
-    object, any syntax error) goes to json.loads, which raises the error
-    json.load raises, except that JSON nested past json's recursion limit
-    raises ValueError.
+    object, any syntax error) goes to json.loads; its syntax error, and
+    JSON nested past json's recursion limit, raise ValueError naming the file.
     """
     decoder = json.JSONDecoder()
     with open(path) as fh:
@@ -355,6 +354,8 @@ def _read_document(path):
         fh.seek(0)
         try:
             return json.loads(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model file {path}: {exc}") from exc
         except RecursionError:
             raise ValueError(f"model file {path}: JSON nested too deeply") from None
 

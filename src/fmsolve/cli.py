@@ -213,8 +213,8 @@ def _solver_from_args(args):
 
 
 def cmd_sample(args):
-    model = cfm.load_model(args.model)
     spec = _solver_from_args(args)
+    model = cfm.load_model(args.model)
     points, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     header = [f"x{i}" for i in range(points.shape[1])]
     files = {"samples.csv": csv_text(header, points.tolist()), "trace.csv": trace.csv_text()}
@@ -276,8 +276,8 @@ def cmd_benchmark(args):
 
 
 def cmd_jacobian(args):
-    model = cfm.load_model(args.model)
     spec = SolverSpec("rk4", args.steps)
+    model = cfm.load_model(args.model)
     rng = Rng(_resolve_seed(args.seed))
     grid = list(np.linspace(0.0, 1.0, args.time_points))
     rows = analysis.spectrum_along_trajectory(model, args.n_samples, grid, spec, rng)
@@ -302,8 +302,8 @@ def cmd_jacobian(args):
 
 
 def cmd_dopri_trace(args):
-    model = cfm.load_model(args.model)
     spec = SolverSpec("dopri5", atol=args.atol, rtol=args.rtol)
+    model = cfm.load_model(args.model)
     _, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])

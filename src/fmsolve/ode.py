@@ -167,8 +167,8 @@ TABLEAUS = {"euler": EULER, "midpoint": MIDPOINT, "rk4": RK4, "dopri5": DOPRI5}
 #: methods without an embedded pair, run by :func:`integrate_fixed`
 FIXED_STEP_METHODS = tuple(name for name, tab in TABLEAUS.items() if tab.b_star is None)
 
-#: step budget of one run: the most steps a fixed-step :class:`SolverSpec`
-#: takes, and the attempts, accepted or rejected, of an adaptive run
+#: step budget of one run: the most steps a fixed-step run takes, and the
+#: attempts, accepted or rejected, of an adaptive run
 MAX_STEPS = 100_000
 MAX_RESOLUTION = 2_000  #: grid points per axis of a stability raster
 
@@ -310,18 +310,17 @@ class SolveTrace:
 
 def integrate_fixed(f, y0, t0, t1, n_steps, method):
     """Integrate y' = f(t, y), a :class:`VectorField`, from t0 to t1 in
-    ``n_steps`` >= 1 equal steps of ``method``, one of
-    :data:`FIXED_STEP_METHODS`; the state y0 may have any shape.
+    ``n_steps`` equal steps of a fixed-step ``method``, checked as
+    ``SolverSpec(method, n_steps)`` (1 <= n_steps <= :data:`MAX_STEPS`)
+    before the first evaluation; the state y0 may have any shape.
 
     Returns ``(y_final, SolveTrace)``.  NFE is n_steps times the stage count
     of the method (1, 2 or 4).
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if SolverSpec(method, n_steps).adaptive:
+        raise ValueError(f"integrate_fixed needs a fixed-step method, got {method!r}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if method not in FIXED_STEP_METHODS:
-        raise ValueError(f"unknown fixed-step method {method!r}")
     tab = TABLEAUS[method]
 
     y = np.array(y0, dtype=float)

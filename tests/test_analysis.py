@@ -16,7 +16,7 @@ from fmsolve.analysis import (
 )
 from fmsolve.data import DatasetSpec
 from fmsolve.numeric import Rng
-from fmsolve.ode import IntegrationError, SolveTrace, StepRecord, VectorField
+from fmsolve.ode import MAX_STEPS, IntegrationError, SolveTrace, StepRecord, VectorField
 
 
 def tiny_model(seed=0, epochs=3):
@@ -161,6 +161,11 @@ class TestConvergence:
     def test_needs_enough_steps(self):
         with pytest.raises(ValueError):
             convergence_study(DecayProblem(), ("euler",), [0.1, 0.1, 0.1])
+
+    def test_step_sizes_within_the_step_budget(self):
+        # h = 1 / (MAX_STEPS + 1) is one Euler step past the budget
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            convergence_study(DecayProblem(), ("euler",), [0.1, 0.05, 0.025, 1 / (MAX_STEPS + 1)])
 
     def test_dopri5_error_tracks_tolerance(self):
         rows = dopri5_tolerance_study(DecayProblem(), [1e-4, 1e-6, 1e-8])

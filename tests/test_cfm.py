@@ -345,13 +345,14 @@ class TestPersistence:
         ids=["top-level", "params"],
     )
     def test_non_string_key_gives_the_json_error(self, text, tmp_path):
+        # json's message, after the path of the file
         path = tmp_path / "model.json"
         path.write_text(text)
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(text)
-        with pytest.raises(json.JSONDecodeError) as got:
+        with pytest.raises(ValueError) as got:
             cfm.load_model(path)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"model file {path}: {expected.value}"
 
     def test_json_nested_too_deeply_is_a_value_error(self, tmp_path):
         # json's decoder raises RecursionError past about 1,000 levels
@@ -485,9 +486,14 @@ def load_outcome(load, path):
 
 
 def json_load_then_validate(path):
-    """The reference: the whole document through json.load, then load_model's checks."""
+    """The reference: the whole document through json.load, whose syntax
+    error is named after the file, then load_model's checks."""
     with open(path) as fh:
-        return cfm._model_from_document(json.load(fh), path)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"model file {path}: {exc}") from exc
+    return cfm._model_from_document(doc, path)
 
 
 class TestEditedModelFiles:

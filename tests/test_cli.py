@@ -615,6 +615,17 @@ class TestMalformedInput:
         # only at the first write, and train's model file only after training
         assert not (workspace / ("m.json" if argv[0] == "train" else "out")).exists()
 
+    @pytest.mark.parametrize("case", ["steps-past-the-step-budget",
+                                      "jacobian-steps-past-the-step-budget",
+                                      "dopri-trace-atol-nonpositive"])
+    def test_bad_solver_flag_fails_before_the_model_loads(self, case, trained, monkeypatch,
+                                                          capsys):
+        def no_loading(path):
+            raise AssertionError("cfm.load_model called")
+
+        monkeypatch.setattr(cli.cfm, "load_model", no_loading)
+        self.test_exit_2_with_one_line_message(case, trained, monkeypatch, capsys)
+
     @pytest.mark.parametrize("hidden", [False, True], ids=["model", "hidden-sweep"])
     def test_bad_seed_env_leaves_no_output(self, hidden, trained, monkeypatch, capsys):
         workspace, model = trained
@@ -645,6 +656,15 @@ class TestMalformedInput:
         cfg = _edited(TINY_CONFIG, workspace / "grid.json", lambda d: d.update(solver_grid=[]))
         with pytest.raises(ValueError, match="solver_grid: expected a non-empty list"):
             cli.load_run_config(cfg)
+
+    def test_model_syntax_error_names_the_file(self, workspace, capsys):
+        path = workspace / "bad.json"
+        path.write_text("{")
+        assert cli.main(_sample_argv(workspace, str(path))) == 2
+        assert capsys.readouterr().err == (
+            f"error: model file {path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n")
+        assert not (workspace / "out").exists()
 
 
 COUNT_FLAGS = {
