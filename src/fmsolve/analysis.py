@@ -87,22 +87,21 @@ class DecayProblem:
 def convergence_study(problem, methods, h_list):
     """Global error at t1 versus step size, plus fitted log-log slopes.
 
-    The exact solution y0 * exp(lam * t1) is the reference; the slope for
-    each method is an ordinary least squares fit of log error against log h
-    over the points above the round-off floor.
+    Each h runs n = max(1, round(t1 / h)) steps; its row records the step
+    t1 / n taken, and at least 4 distinct n are needed.  The reference is
+    the exact y0 * exp(lam * t1); each method's slope is an ordinary least
+    squares fit of log error against log h above the round-off floor.
 
     Returns ``(rows, slopes)`` with slopes a dict method -> fitted slope.
     """
-    if len(set(h_list)) < 4:
-        raise ValueError("need at least 4 distinct step sizes")
-    rows = []
-    slopes = {}
+    steps = [max(1, round(problem.t1 / h)) for h in h_list]
+    if len(set(steps)) < 4:
+        raise ValueError("need at least 4 distinct step counts")
+    rows, slopes = [], {}
     for method in methods:
-        method_rows = []
-        for h in h_list:
-            n = max(1, round(problem.t1 / h))
-            err = _global_error(problem, integrate_fixed, n, method)
-            method_rows.append(ConvergenceRow(method=method, h=h, global_error=err))
+        method_rows = [ConvergenceRow(method, problem.t1 / n,
+                                      _global_error(problem, integrate_fixed, n, method))
+                       for n in steps]
         rows += method_rows
         slopes[method] = slope_above_floor(method_rows)
     return rows, slopes
@@ -237,11 +236,11 @@ class SpectrumRow:
 def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     """Jacobian eigenvalues and condition numbers along sampling trajectories.
 
-    Integrates ``n_samples`` trajectories of the learned flow (in the
-    standardized space where the network lives) and, at every grid time,
-    computes the per-sample 2x2 Jacobian by central differences, its
-    eigenvalue pair, and the spectral condition number.  Eigenvalues are
-    ordered by descending real part, so "eig1" is the slower/unstabler one.
+    Integrates ``n_samples`` trajectories of the learned flow, in the
+    network's standardized space, from Gaussian noise at t = 0 (the grid's
+    first time) and at every grid time computes each sample's 2x2 Jacobian
+    by central differences, its eigenvalue pair and its condition number,
+    eigenvalues by descending real part ("eig1" is the slower/unstabler).
 
     The solver spec controls the marching between grid times; its n_steps
     budget is spread over [0, 1] proportionally to each segment length.
@@ -253,6 +252,8 @@ def spectrum_along_trajectory(model, n_samples, time_grid, solver, rng):
     time_grid = [float(t) for t in time_grid]
     if not time_grid or sorted(time_grid) != time_grid:
         raise ValueError("time_grid must be a non-empty ascending list")
+    if time_grid[0] != 0.0:
+        raise ValueError(f"time_grid must start at 0.0, got {time_grid[0]}")
     if solver.adaptive:
         raise ValueError("spectrum marching uses a fixed-step solver")
     x = gaussian_sample(rng, n_samples, 2)

@@ -159,16 +159,11 @@ def cmd_convergence(args):
 
 
 def cmd_stability(args):
-    rasters = [
-        stability_region_grid(m, (args.re_min, args.re_max), (args.im_min, args.im_max),
-                              args.resolution)
-        for m in TABLEAUS
-    ]
-    demo_h = [0.1, 2.0 / 15.0, 1.0 / 6.0]
-    traces = analysis.stability_demo(-15.0, demo_h, t1=args.demo_t1)
+    traces = analysis.stability_demo(-15.0, [0.1, 2.0 / 15.0, 1.0 / 6.0], t1=args.demo_t1)
     files, lines = {}, []
-    while rasters:  # each raster is freed once it is rendered
-        raster = rasters.pop(0)
+    for m in TABLEAUS:  # one raster at a time: each is freed when the next replaces it
+        raster = stability_region_grid(m, (args.re_min, args.re_max), (args.im_min, args.im_max),
+                                       args.resolution)
         files[f"stability_{raster.method}.csv"] = raster.csv_text()
         files[f"stability_{raster.method}.svg"] = svg.raster_chart(
             raster, title=f"{raster.method}: |R(z)| <= 1")
@@ -204,9 +199,9 @@ def cmd_train(args):
 
 
 def _solver_from_args(args):
-    # only the flags given on the command line, so one that does not apply
-    # to the method is rejected instead of ignored
-    given = {"steps": args.steps, "atol": args.atol, "rtol": args.rtol}
+    # only the flags given (a subcommand may lack some), so one that does
+    # not apply to the method is rejected instead of ignored
+    given = {k: getattr(args, k, None) for k in ("steps", "atol", "rtol")}
     return SolverSpec.from_dict(
         {"method": args.solver, **{k: v for k, v in given.items() if v is not None}}
     )
@@ -276,7 +271,7 @@ def cmd_benchmark(args):
 
 
 def cmd_jacobian(args):
-    spec = SolverSpec("rk4", args.steps)
+    spec = _solver_from_args(args)
     model = cfm.load_model(args.model)
     rng = Rng(_resolve_seed(args.seed))
     grid = list(np.linspace(0.0, 1.0, args.time_points))
@@ -302,15 +297,13 @@ def cmd_jacobian(args):
 
 
 def cmd_dopri_trace(args):
-    spec = SolverSpec("dopri5", atol=args.atol, rtol=args.rtol)
+    spec = _solver_from_args(args)
     model = cfm.load_model(args.model)
     _, trace = cfm.sample(model, spec, args.n, Rng(_resolve_seed(args.seed)))
     summary = analysis.dopri_step_summary(trace, bins=args.bins)
     centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
-    if args.atol == args.rtol:
-        tolerances = f"atol=rtol={args.atol:g}"
-    else:
-        tolerances = f"atol={args.atol:g}, rtol={args.rtol:g}"
+    tolerances = (f"atol=rtol={spec.atol:g}" if spec.atol == spec.rtol
+                  else f"atol={spec.atol:g}, rtol={spec.rtol:g}")
     files = {
         "dopri_trace.csv": trace.csv_text(),
         "dopri_steps.svg": svg.line_chart(
@@ -348,6 +341,13 @@ def widths(text):
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"expected distinct widths, got {text}")
     return values
+
+
+def _tolerance_flags(parser):
+    """Add --atol and --rtol: unset, they leave SolverSpec's defaults."""
+    for flag in ("atol", "rtol"):
+        parser.add_argument(f"--{flag}", type=float, default=None,
+                            help=f"dopri5 only (default {getattr(SolverSpec, flag):g})")
 
 
 def build_parser():
@@ -388,9 +388,8 @@ def build_parser():
     p = sub.add_parser("sample", parents=[model_run, out_dir],
                        help="sample from a trained model with a chosen solver")
     p.add_argument("--solver", required=True, choices=TABLEAUS)
-    p.add_argument("--steps", type=count, default=None, help="step count (fixed-step solvers only)")
-    p.add_argument("--atol", type=float, default=None, help=f"dopri5 only (default {SolverSpec.atol:g})")
-    p.add_argument("--rtol", type=float, default=None, help=f"dopri5 only (default {SolverSpec.rtol:g})")
+    p.add_argument("--steps", type=int, default=None, help="step count (fixed-step solvers only)")
+    _tolerance_flags(p)
     p.add_argument("--n", type=count, default=2000)
     p.set_defaults(func=cmd_sample)
 
@@ -408,16 +407,15 @@ def build_parser():
                        help="Jacobian eigenvalue spectrum along trajectories")
     p.add_argument("--n-samples", type=count, default=200)
     p.add_argument("--time-points", type=count, default=11)
-    p.add_argument("--steps", type=count, default=50, help="RK4 marching steps over [0,1]")
-    p.set_defaults(func=cmd_jacobian)
+    p.add_argument("--steps", type=int, default=50, help="RK4 marching steps over [0,1]")
+    p.set_defaults(func=cmd_jacobian, solver="rk4")
 
     p = sub.add_parser("dopri-trace", parents=[model_run, out_dir],
                        help="adaptive step-size trace of one sampling run")
-    p.add_argument("--atol", type=float, default=SolverSpec.atol)
-    p.add_argument("--rtol", type=float, default=SolverSpec.rtol)
+    _tolerance_flags(p)
     p.add_argument("--n", type=count, default=2000)
     p.add_argument("--bins", type=count, default=10)
-    p.set_defaults(func=cmd_dopri_trace)
+    p.set_defaults(func=cmd_dopri_trace, solver="dopri5")
 
     return parser
 

@@ -287,10 +287,13 @@ class StepRecord:
 
 @dataclass
 class SolveTrace:
-    """Per-step log of an integration run."""
+    """Per-step log of an integration run; its NFE total is the last record's."""
 
     steps: list[StepRecord] = field(default_factory=list)
-    nfe_total: int = 0
+
+    @property
+    def nfe_total(self):
+        return self.steps[-1].nfe_cum if self.steps else 0
 
     @property
     def accepted_steps(self):
@@ -332,7 +335,6 @@ def integrate_fixed(f, y0, t0, t1, n_steps, method):
         y = rk_step(tab, f, t, y, h, step_index=n)
         _check_state(y, t, h, n)
         trace.steps.append(StepRecord(t=t, h=h, err=None, accepted=True, nfe_cum=f.nfe - nfe0))
-    trace.nfe_total = f.nfe - nfe0
     return y, trace
 
 
@@ -503,7 +505,6 @@ def integrate_dopri5(f, y0, t0, t1, spec):
         h_next = propose_step(h, err)
         h = min(h_next, h) if not accepted or just_rejected else h_next
         just_rejected = not accepted
-    trace.nfe_total = f.nfe - nfe0
     return y, trace
 
 

@@ -54,6 +54,8 @@ def test_smoke_pair_writes_the_bench_file(tmp_path):
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["seeds"] == [101] and record["pairs"] == 1 and record["smoke"]
     assert record["parent"]["sha"] == record["change"]["sha"] and record["environment"]["nproc"] >= 1
+    for side in ("parent", "change"):  # the north star's src/fmsolve line count
+        assert type(record[side]["src_lines"]) is int and record[side]["src_lines"] > 0
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(record["workloads"]) == {w["name"] for w in bench["workloads"]}
     for entry in record["workloads"].values():

@@ -162,6 +162,19 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study(DecayProblem(), ("euler",), [0.1, 0.1, 0.1])
 
+    def test_records_the_step_size_taken(self):
+        # h = 0.3 runs round(1 / 0.3) = 3 steps of 1/3: the fit sees the steps taken
+        rows, slopes = convergence_study(DecayProblem(), ("euler", "rk4"),
+                                         [0.3, 0.2, 0.15, 0.1, 0.07])
+        assert [r.h for r in rows[:5]] == [1 / 3, 1 / 5, 1 / 7, 1 / 10, 1 / 14]
+        assert slopes["rk4"] == pytest.approx(4.14, abs=0.01)
+        assert slopes["euler"] == pytest.approx(1.08, abs=0.01)
+
+    def test_needs_four_distinct_step_counts(self):
+        # four distinct sizes, but 0.1 and 0.099 both run 10 steps
+        with pytest.raises(ValueError, match="at least 4 distinct step counts"):
+            convergence_study(DecayProblem(), ("euler",), [0.1, 0.099, 0.05, 0.025])
+
     def test_step_sizes_within_the_step_budget(self):
         # h = 1 / (MAX_STEPS + 1) is one Euler step past the budget
         with pytest.raises(ValueError, match="MAX_STEPS"):
@@ -244,6 +257,12 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="non-empty ascending"):
             spectrum_along_trajectory(zero_field_model(), 5, grid, cfm.SolverSpec("rk4", 5), Rng(0))
 
+    def test_time_grid_must_start_at_zero(self):
+        # the trajectories start as Gaussian noise, the flow's state at t = 0 only
+        with pytest.raises(ValueError, match="time_grid must start at 0.0, got 0.5"):
+            spectrum_along_trajectory(zero_field_model(), 5, [0.5, 0.9, 1.0],
+                                      cfm.SolverSpec("rk4", 5), Rng(0))
+
     def test_needs_a_fixed_step_solver(self):
         with pytest.raises(ValueError, match="fixed-step"):
             spectrum_along_trajectory(zero_field_model(), 5, [0.0, 1.0], cfm.SolverSpec("dopri5"),
@@ -252,7 +271,7 @@ class TestSpectrum:
 
 class TestStepSummary:
     def test_single_step(self):
-        trace = SolveTrace(steps=[StepRecord(0.0, 1.0, 0.5, True, 7)], nfe_total=7)
+        trace = SolveTrace(steps=[StepRecord(0.0, 1.0, 0.5, True, 7)])
         s = dopri_step_summary(trace, bins=5)
         assert s.counts.sum() == 1
         assert s.mean_h[0] == 1.0
@@ -274,7 +293,7 @@ class TestStepSummary:
         steps = [StepRecord(0.0, 0.125, 0.5, True, 7), StepRecord(0.125, 0.125, 0.5, True, 13),
                  StepRecord(0.25, 0.25, 0.5, True, 19), StepRecord(0.5, 0.5, 2.0, False, 25),
                  StepRecord(0.5, 0.5, 0.5, True, 31)]
-        s = dopri_step_summary(SolveTrace(steps=steps, nfe_total=31), bins=4)
+        s = dopri_step_summary(SolveTrace(steps=steps), bins=4)
         assert s.bin_edges.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert s.counts.tolist() == [2, 1, 1, 0]
         assert s.mean_h[:3].tolist() == [0.125, 0.25, 0.5]
@@ -283,10 +302,10 @@ class TestStepSummary:
 
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
-            dopri_step_summary(SolveTrace(steps=[], nfe_total=0))
+            dopri_step_summary(SolveTrace(steps=[]))
 
     def test_bins_must_be_positive(self):
-        trace = SolveTrace(steps=[StepRecord(0.0, 1.0, 0.5, True, 7)], nfe_total=7)
+        trace = SolveTrace(steps=[StepRecord(0.0, 1.0, 0.5, True, 7)])
         with pytest.raises(ValueError, match="bins must be >= 1"):
             dopri_step_summary(trace, bins=0)
 

@@ -69,6 +69,16 @@ class TestStabilityCmd:
         hs = {float(r[0]) for r in rows}
         assert 0.1 in hs and any(abs(h - 1 / 6) < 1e-12 for h in hs)
 
+    def test_bad_demo_t1_fails_before_any_raster(self, tmp_path, monkeypatch, capsys):
+        def no_raster(*args):
+            raise AssertionError("stability_region_grid called")
+
+        monkeypatch.setattr(cli, "stability_region_grid", no_raster)
+        capsys.readouterr()
+        assert cli.main(["stability", "--demo-t1", "0", "--out", str(tmp_path / "stab")]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1 and not captured.out
+
     def test_default_bounds_contain_all_regions(self, tmp_path):
         from fmsolve.ode import stability_region_grid
 
@@ -487,6 +497,12 @@ MALFORMED_INPUT = {
         "--solver", "euler", "--steps", str(10**12), "--n", "8", "--out", str(ws / "out")],
     "jacobian-steps-past-the-step-budget": lambda ws, model: ["jacobian", "--model", str(model),
         "--steps", str(10**12), "--out", str(ws / "out")],
+    "steps-zero": lambda ws, model: ["sample", "--model", str(model), "--solver", "euler",
+        "--steps", "0", "--n", "8", "--out", str(ws / "out")],
+    "steps-negative": lambda ws, model: ["sample", "--model", str(model), "--solver", "rk4",
+        "--steps", "-1", "--n", "8", "--out", str(ws / "out")],
+    "jacobian-steps-zero": lambda ws, model: ["jacobian", "--model", str(model),
+        "--steps", "0", "--out", str(ws / "out")],
     "atol-for-euler": lambda ws, model: _benchmark_argv(
         ws, model, {"method": "euler", "steps": 10, "atol": 1e-4}),
     "steps-flag-for-dopri5": lambda ws, model: ["sample", "--model", str(model),
@@ -595,36 +611,48 @@ MALFORMED_INPUT = {
 }
 
 
+# a --steps below 1 is SolverSpec's error line, not argparse's usage block
+STEPS_BELOW_ONE = ("steps-zero", "steps-negative", "jacobian-steps-zero")
+
+
+def _exit_2_with_one_line(case, trained, monkeypatch, capsys):
+    """Run MALFORMED_INPUT[case]; its one stderr line."""
+    workspace, model = trained
+
+    def no_training(tc):
+        raise AssertionError("cfm.train called")
+
+    monkeypatch.setattr(cli.cfm, "train", no_training)
+    capsys.readouterr()
+    argv = MALFORMED_INPUT[case](workspace, model)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not captured.out  # no "training ..." or "trained ..." line
+    # a failed run leaves no --out behind: the output directory is made
+    # only at the first write, and train's model file only after training
+    assert not (workspace / ("m.json" if argv[0] == "train" else "out")).exists()
+    return captured.err
+
+
 class TestMalformedInput:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", MALFORMED_INPUT)
     def test_exit_2_with_one_line_message(self, case, trained, monkeypatch, capsys):
-        workspace, model = trained
-
-        def no_training(tc):
-            raise AssertionError("cfm.train called")
-
-        monkeypatch.setattr(cli.cfm, "train", no_training)
-        capsys.readouterr()
-        argv = MALFORMED_INPUT[case](workspace, model)
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert len(captured.err.strip().splitlines()) == 1
-        assert not captured.out  # no "training ..." or "trained ..." line
-        # a failed run leaves no --out behind: the output directory is made
-        # only at the first write, and train's model file only after training
-        assert not (workspace / ("m.json" if argv[0] == "train" else "out")).exists()
+        _exit_2_with_one_line(case, trained, monkeypatch, capsys)
 
     @pytest.mark.parametrize("case", ["steps-past-the-step-budget",
                                       "jacobian-steps-past-the-step-budget",
-                                      "dopri-trace-atol-nonpositive"])
+                                      "dopri-trace-atol-nonpositive", *STEPS_BELOW_ONE])
     def test_bad_solver_flag_fails_before_the_model_loads(self, case, trained, monkeypatch,
                                                           capsys):
         def no_loading(path):
             raise AssertionError("cfm.load_model called")
 
         monkeypatch.setattr(cli.cfm, "load_model", no_loading)
-        self.test_exit_2_with_one_line_message(case, trained, monkeypatch, capsys)
+        err = _exit_2_with_one_line(case, trained, monkeypatch, capsys)
+        if case in STEPS_BELOW_ONE:
+            assert err.startswith("error: ") and "needs n_steps >= 1" in err
 
     @pytest.mark.parametrize("hidden", [False, True], ids=["model", "hidden-sweep"])
     def test_bad_seed_env_leaves_no_output(self, hidden, trained, monkeypatch, capsys):
@@ -772,7 +800,7 @@ FLAG_DEFAULTS = {
                   "--projections": 200, "--seed": None, "--out": "out"},
     "jacobian": {"--model": REQUIRED, "--n-samples": 200, "--time-points": 11, "--steps": 50,
                  "--seed": 0, "--out": "out"},
-    "dopri-trace": {"--model": REQUIRED, "--atol": 1e-5, "--rtol": 1e-5, "--n": 2000,
+    "dopri-trace": {"--model": REQUIRED, "--atol": None, "--rtol": None, "--n": 2000,
                     "--bins": 10, "--seed": 0, "--out": "out"},
 }
 

@@ -16,6 +16,7 @@ from fmsolve.ode import (
     SAFETY,
     TABLEAUS,
     IntegrationError,
+    SolveTrace,
     SolverSpec,
     VectorField,
     error_norm,
@@ -545,6 +546,18 @@ class TestTraceCsv:
         assert trace.csv_text().encode() == self.HEADER + (
             b"0.0,0.5,,1,2\r\n0.5,0.5,,1,4\r\n"
         )
+
+    @pytest.mark.parametrize("method", TABLEAUS)
+    def test_nfe_total_is_read_from_the_records(self, method):
+        f = decay_field()
+        if method == "dopri5":
+            _, trace = integrate_dopri5(f, ONE, 0.0, 1.0, SolverSpec(method))
+        else:
+            _, trace = integrate_fixed(f, ONE, 0.0, 1.0, 5, method)
+        assert trace.nfe_total == trace.steps[-1].nfe_cum == f.nfe
+        with pytest.raises(AttributeError):
+            trace.nfe_total = 0
+        assert SolveTrace().nfe_total == 0
 
 
 class TestStability:

@@ -11,17 +11,17 @@ alternates from pair to pair.  The last line of each run's standard output
 is its result.
 
 It writes ``BENCH_<label>.json`` at the root of this repository: both
-checkouts' git SHAs, the environment record of the
-change's first run, and per workload and end-to-end metric both medians,
-both interquartile ranges, the change/parent ratio, the number of pairs
-the change won and the attempted and failed operation counts.  A metric is
-flagged ``worse_than_bound`` when the change's median is worse than the
-parent's by more than its BENCHMARK.json bound, and ``spread_past_bound``
-when either side's IQR exceeds that bound relative to its median, so the
-pairs cannot tell a change of that size.  ``gain`` is true when the change
-wins at least 9 pairs in 10 (ties count for neither side) and its median is
-better than the parent's by more than the parent's IQR: only then does the
-file show a gain on that metric.
+checkouts' git SHAs and ``src/fmsolve/*.py`` line counts, the environment
+record of the change's first run, and per workload and end-to-end metric
+both medians, both interquartile ranges, the change/parent ratio, the
+number of pairs the change won and the attempted and failed operation
+counts.  A metric is flagged ``worse_than_bound`` when the change's median
+is worse than the parent's by more than its BENCHMARK.json bound, and
+``spread_past_bound`` when either side's IQR exceeds that bound relative
+to its median, so the pairs cannot tell a change of that size.  ``gain``
+is true when the change wins at least 9 pairs in 10 (ties count for
+neither side) and its median is better than the parent's by more than the
+parent's IQR: only then does the file show a gain on that metric.
 """
 
 import argparse
@@ -30,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIRST_SEED = 101
@@ -53,11 +54,14 @@ def _git(checkout, *argv):
 
 
 def describe(checkout):
-    """The commit a checkout holds and that commit's src/ tree; ``dirty``
+    """The commit a checkout holds, that commit's src/ tree and the line
+    count (as ``wc -l``) of the checkout's src/fmsolve/*.py files; ``dirty``
     if its tracked files differ from that commit."""
     return {
         "sha": _git(checkout, "rev-parse", "HEAD"),
         "src_tree": _git(checkout, "rev-parse", "HEAD:src"),
+        "src_lines": sum(p.read_bytes().count(b"\n")
+                         for p in Path(checkout, "src", "fmsolve").glob("*.py")),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
     }
 
