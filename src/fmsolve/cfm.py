@@ -159,7 +159,7 @@ def train(config):
     :meth:`nn.Workspace.step` also reports for an overflowed Adam moment).
     """
     root = Rng(config.seed)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         raw = generate(config.dataset, root.stream_rng(STREAM_DATASET))
         mean, std = raw.mean(axis=0), raw.std(axis=0)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
@@ -210,7 +210,7 @@ def sample(model, solver, n, rng):
         z1, trace = integrate_dopri5(f, z0, 0.0, 1.0, solver)
     else:
         z1, trace = integrate_fixed(f, z0, 0.0, 1.0, solver.n_steps, solver.method)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         points = z1 * model.data_std + model.data_mean
     if not np.isfinite(points).all():
         raise IntegrationError("samples overflow in the map to data coordinates", t=1.0, y=z1)

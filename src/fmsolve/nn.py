@@ -198,9 +198,6 @@ def _layernorm_backward(dout, xhat, inv_std, gamma, da=None, dgamma=None, dbeta=
 # forward / backward
 
 _TILE_ROWS = 512  # most rows one tile of the network pass has
-# Every network computation (pass, loss, backward pass, Adam) runs once under
-# these float error settings and reports overflow only through its result.
-_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 def _tiles(n):
@@ -284,7 +281,7 @@ def forward(params, x, t):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.config.data_dim:
         raise ValueError(f"expected batch of shape (n, {params.config.data_dim}), got {x.shape}")
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         v = _forward(params, x, t, keep=False)[0]
     if not (v.size and np.isfinite(v).all()):
         params.check_finite()
@@ -298,7 +295,7 @@ def loss_and_grad(params, x_t, t, u_t):
     loss and an :class:`MlpParams`-shaped gradient structure.  Raises
     ValueError if a parameter tensor is non-finite, scanned for as in forward.
     """
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         loss, cache, dv = _loss(params, _activations(params.config, len(x_t)), x_t, t, u_t)
         grads = MlpParams(params.config)
         _backward(params, cache, dv, lambda s: grads.flat[s], lambda s, grad: None)
@@ -407,7 +404,7 @@ def adam_update(params, grads, state, lr):
     """
     state.step += 1
     scratch = np.empty((2, min(_ADAM_CHUNK, params.flat.size)))
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         _adam((params.flat, grads.flat, state.m, state.v), scratch, lr, state.step)
 
 
@@ -445,7 +442,7 @@ class Workspace:
         with it; returns the loss.  A non-finite one changes nothing.  The
         step emits no float warnings: overflow shows in the loss it returns,
         which is inf when Adam's second moment overflows (after the update)."""
-        with np.errstate(**_QUIET):
+        with np.errstate(all="ignore"):
             loss, cache, dv = _loss(params, self.activations, x_t, t, u_t)
             if not np.isfinite(loss):
                 return loss

@@ -9,6 +9,8 @@ on the seed alone, so substreams do not nest.  Gaussian draws
 use the trigonometric Box-Muller transform on Philox uniforms; the
 transform is fixed here so every module shares one documented mapping
 from uniforms to normals.
+
+Float-error policy: overflow shows as inf or nan in a result, never as a warning.
 """
 
 import csv
@@ -96,7 +98,7 @@ def eig2x2(m):
     float range give non-finite eigenvalues, without a float warning.
     """
     m = np.asarray(m, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         tr = m[..., 0, 0] + m[..., 1, 1]
         det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
         disc = tr * tr - 4.0 * det
@@ -124,7 +126,7 @@ def cond2x2(m):
     non-finite entry gives inf or nan, without a float warning.
     """
     m = np.asarray(m, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         _, e = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))
         m = np.ldexp(m, -e)
         # Gram matrix is symmetric PSD; its eigenvalues are the squared singular values.

@@ -249,7 +249,8 @@ def _rk_stages(tab, f, t, y, h, k1=None, step_index=None):
     """
     k = [_check_finite(f(t, y), t, y, h, step_index) if k1 is None else k1]
     for i in range(1, tab.n_stages):
-        yi = y + h * _weighted_sum(tab.a[i], k)
+        with np.errstate(all="ignore"):  # overflow shows in a later slope or the state
+            yi = y + h * _weighted_sum(tab.a[i], k)
         k.append(_check_finite(f(t + tab.c[i] * h, yi), t, y, h, step_index))
     return k
 
@@ -260,7 +261,9 @@ def rk_step(tab, f, t, y, h, step_index=None):
     Costs one field evaluation per stage (1 for Euler, 2 for midpoint, 4
     for RK4); ``step_index`` only labels a non-finite-stage failure.
     """
-    return y + h * _weighted_sum(tab.b, _rk_stages(tab, f, t, y, h, step_index=step_index))
+    k = _rk_stages(tab, f, t, y, h, step_index=step_index)
+    with np.errstate(all="ignore"):
+        return y + h * _weighted_sum(tab.b, k)
 
 
 def _check_state(y, t, h, step_index):
@@ -374,7 +377,7 @@ def error_norm(e, y_n, y_next, atol, rtol):
 
     sqrt( (1/d) * sum_j ( e_j / (atol + max(|y_n_j|, |y_next_j|) * rtol) )^2 )
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         scale = atol + np.maximum(np.abs(y_n), np.abs(y_next)) * rtol
         return float(np.sqrt(np.mean((e / scale) ** 2)))
 
@@ -414,8 +417,11 @@ def initial_step_guess(f, t0, y0, t1, spec, f0):
         return 0.0
     h0 = 0.01 * d0 / d1 if d0 >= 1e-5 else 1e-6
     h0 = min(h0, span)
-    f_trial = _check_finite(f(t0 + h0, y0 + h0 * f0), t0, y0, h0)
-    d2 = error_norm(f_trial - f0, y0, y0, spec.atol, spec.rtol) / h0
+    with np.errstate(all="ignore"):  # the trial point can overflow
+        y_trial = y0 + h0 * f0
+    f_trial = _check_finite(f(t0 + h0, y_trial), t0, y0, h0)
+    with np.errstate(all="ignore"):  # and so can the slope difference
+        d2 = error_norm(f_trial - f0, y0, y0, spec.atol, spec.rtol) / h0
     h1 = (0.01 / max(d1, d2)) ** ORDER_EXPONENT
     return min(100.0 * h0, h1, span)
 
@@ -479,8 +485,9 @@ def integrate_dopri5(f, y0, t0, t1, spec):
         h = min(h, t1 - t)
         is_last = h == t1 - t
         k = _rk_stages(DOPRI5, f, t, y, h, k1=k1, step_index=attempt)
-        y5 = y + h * _weighted_sum(DOPRI5.b, k)
-        e = h * _weighted_sum(db, k)
+        with np.errstate(all="ignore"):
+            y5 = y + h * _weighted_sum(DOPRI5.b, k)
+            e = h * _weighted_sum(db, k)
         _check_state(y5, t, h, attempt)
         err = error_norm(e, y, y5, spec.atol, spec.rtol)
         accepted = err <= 1.0
@@ -491,7 +498,7 @@ def integrate_dopri5(f, y0, t0, t1, spec):
             y = y5
             t = t1 if is_last else t + h
             k1 = k[-1]  # FSAL
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 h_lambda = float(np.sqrt(np.sum(np.square(k[6] - k[5]))
                                          / np.sum(np.square(_weighted_sum(_STAGE_GAP, k)))))
             calm = 0 if h_lambda > _STIFF_H_LAMBDA else calm + 1
@@ -525,7 +532,7 @@ def stability_value(method, z):
     if np.ndim(z) == 0:
         z = complex(z)
     acc = 0j  # Horner
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for ck in TABLEAUS[method].stability_coefficients()[::-1]:
             acc = acc * z + ck
     return acc
@@ -573,7 +580,7 @@ def stability_region_grid(method, re_range, im_range, resolution):
     re = np.linspace(re_range[0], re_range[1], resolution)
     im = np.linspace(im_range[0], im_range[1], resolution)
     z = re[None, :] + 1j * im[:, None]
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         mag = np.abs(stability_value(method, z))
     mag[np.isnan(mag)] = np.inf  # R(z) overflowed into inf - inf or inf * 0
     return StabilityRaster(method=method, re=re, im=im, magnitude=mag, inside=mag <= 1.0)

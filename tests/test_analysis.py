@@ -77,7 +77,6 @@ class TestSwd:
         with pytest.raises(ValueError):
             swd(np.zeros((3, 2)), np.zeros((4, 2)), 10, Rng(0))
 
-    @pytest.mark.filterwarnings("error")
     def test_distances_past_the_float_range_give_inf(self):
         a = Rng(9).normal(size=(50, 2))
         assert swd(a + 1e308, a, 8, Rng(10)) == np.inf
@@ -228,6 +227,12 @@ class TestJacobianFd:
         with pytest.raises(IntegrationError, match="non-finite field while differencing at t=0.5"):
             jacobian_fd(f, np.zeros((3, 2)), 0.5)
 
+    def test_derivative_past_the_float_range_is_inf(self):
+        # finite outputs near 2e304 whose difference quotient is 2e308
+        f = VectorField(lambda t, y: y * 1e308 * 2.0)
+        jac = jacobian_fd(f, np.full((1, 2), 1e-5), 0.5)
+        assert np.isinf(jac[0, 0, 0]) and jac[0, 0, 1] == 0.0
+
 
 class TestSpectrum:
     def test_zero_field_spectrum(self):
@@ -375,7 +380,6 @@ class TestParetoBenchmark:
         rows, _ = pareto_benchmark(model, grid, 64, 32, Rng(5))
         assert rows[0] == rows[2]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_spec_does_not_abort_grid(self):
         model = tiny_model(epochs=2)
         # huge weights overflow the forward pass -> integration error

